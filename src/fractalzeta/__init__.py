@@ -37,7 +37,6 @@ from .geometry import (
     string_set,
     tube_breakpoints,
     tube_volume,
-    tube_volume_many,
 )
 from .quasi import (
     DependenceError,
@@ -105,7 +104,7 @@ __all__ = [
     "box_boundary", "cantor_set", "carpet", "distance", "distance_many",
     "flat_drum", "fractal_nest", "full_tube_volume", "log_tube_volume",
     "region_volume", "saturation_threshold", "scaled", "string_set",
-    "tube_breakpoints", "tube_volume", "tube_volume_many",
+    "tube_breakpoints", "tube_volume",
     "DependenceError", "ExponentVector", "HyperfractalTruncation", "QPReport",
     "exponent_vector", "find_relation", "hyperfractal_truncation",
     "ordinate_min_gap", "rationally_independent", "two_qp_set",

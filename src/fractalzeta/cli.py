@@ -321,8 +321,6 @@ def _add_common(p: argparse.ArgumentParser, with_set: bool = True) -> None:
         p.add_argument("--scale", type=float, help="homothety factor applied to the set")
     p.add_argument("--output", help="write the artifact to this path instead of stdout")
     p.add_argument("--emit-plot-data", help="write an (x, y) CSV for external plotting")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (current implementations are single-process)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,8 +421,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_glue_window_values(args_list))
-    if args.threads is not None and args.threads < 1:
-        parser.exit(2, "error: --threads must be at least 1\n")
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

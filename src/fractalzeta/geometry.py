@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,7 +36,6 @@ __all__ = [
     "scaled",
     "region_volume",
     "tube_volume",
-    "tube_volume_many",
     "log_tube_volume",
     "full_tube_volume",
     "distance",
@@ -120,10 +119,13 @@ class GapLadder:
     hole_dim: int
 
     def __post_init__(self) -> None:
-        assert self.first_count >= 1 and self.count_ratio >= 2
-        assert 0 < self.gap_ratio < 1 and self.first_gap > 0
+        if not (self.first_count >= 1 and self.count_ratio >= 2):
+            raise ValueError("a ladder needs first_count >= 1 and count_ratio >= 2")
+        if not (0 < self.gap_ratio < 1 and self.first_gap > 0):
+            raise ValueError("a ladder needs 0 < gap_ratio < 1 and first_gap > 0")
         # total deleted volume must converge
-        assert self.count_ratio * self.gap_ratio**self.hole_dim < 1 + 1e-15
+        if not self.count_ratio * self.gap_ratio**self.hole_dim < 1 + 1e-15:
+            raise ValueError("the holes' total volume diverges (count_ratio·gap_ratio^N >= 1)")
 
     def gap(self, k: int) -> float:
         return self.first_gap * self.gap_ratio ** (k - 1)
@@ -320,7 +322,8 @@ def _flat_region_volume() -> float:
     if _FLAT_REGION_VOLUME is None:
         val, err = quad(lambda x: math.exp(-1.0 / x), 0.0, 1.0,
                         limit=200, epsabs=0.0, epsrel=1e-13)
-        assert err < 1e-12
+        if not err < 1e-12:
+            raise RuntimeError(f"flat region volume error {err:.3g} above 1e-12")
         _FLAT_REGION_VOLUME = val
     return _FLAT_REGION_VOLUME
 
@@ -538,10 +541,88 @@ def full_tube_volume(desc: SetDescriptor, t: float) -> float:
     return tube_volume(desc, t, full=True)
 
 
-def tube_volume_many(desc: SetDescriptor, ts: Sequence[float] | np.ndarray,
-                     full: bool = False) -> np.ndarray:
-    """Vectorized ``tube_volume`` over a grid of t values."""
-    return np.array([tube_volume(desc, float(t), full=full) for t in np.asarray(ts, dtype=float)])
+class _Holes(NamedTuple):
+    """Row i: ``counts[i]`` holes of inradius ``radii[i]`` (``inf`` for the
+    outer collar), each covering h_i(t) = Σ_m coeffs[i, m-1] t^m within t of
+    its boundary for t <= radii[i], and h_i(radii[i]) beyond.  With
+    ``ratios = (m, a)`` the last row heads a geometric family: its level
+    j >= 0 holds counts[-1]·m^j holes of inradius radii[-1]·a^j.
+    """
+
+    counts: np.ndarray
+    radii: np.ndarray
+    coeffs: np.ndarray
+    ratios: tuple[int, float] | None = None
+
+
+# leading gaps of the infinite a-string held as holes; the rest is a tail model
+_A_STRING_HOLES = 120_000
+
+
+def _cube_coeffs(n: int, sides: np.ndarray) -> np.ndarray:
+    """Coefficients of g^n - (g - 2t)^n in t^1..t^n, one row per side g."""
+    j = np.arange(1, n + 1)
+    binom = np.array([math.comb(n, k) for k in j], dtype=float)
+    return -binom * (-2.0) ** j * np.power.outer(np.asarray(sides, dtype=float), n - j)
+
+
+def _collar_coeffs(desc: SetDescriptor) -> list[float]:
+    """Coefficients in t^1..t^N of the outer collar |A_t \\ Ω|."""
+    lam = desc.scale
+    n = desc.ambient_dim
+    if desc.kind == "boxBoundary":
+        return [math.comb(n, j) * 2.0**j * lam ** (n - j) for j in range(1, n + 1)]
+    if desc.kind == "nest":
+        return [2.0 * math.pi * lam, math.pi]
+    if desc.ladder is None and not (desc.kind == "aString" and desc.J is None):
+        raise ValueError(f"no full tube for kind {desc.kind!r} with these parameters")
+    # Steiner polynomial of the unit interval, square or cube
+    return {1: [2.0],
+            2: [4.0 * lam, math.pi],
+            3: [6.0 * lam**2, 3.0 * math.pi * lam, 4.0 * math.pi / 3.0]}[n]
+
+
+def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes:
+    """The holes whose inner tubes make up the tube volume on [0, δ].
+
+    Ladder levels with gaps wider than 2δ are rows of their own; the level
+    after them heads the geometric family of all narrower ones.  The infinite
+    a-string holds its first ``_A_STRING_HOLES`` gaps only.
+    """
+    lam = desc.scale
+    n = desc.ambient_dim
+    ratios = None
+    if desc.ladder is not None:
+        lad = desc.ladder
+        ks = np.arange(lad.depth_for(delta / lam) + 1, dtype=float)
+        counts = lad.first_count * float(lad.count_ratio) ** ks
+        sides = lam * lad.first_gap * lad.gap_ratio**ks
+        radii, coeffs = sides / 2.0, _cube_coeffs(n, sides)
+        ratios = (lad.count_ratio, lad.gap_ratio)
+    elif desc.kind == "boxBoundary":
+        counts, radii, coeffs = np.ones(1), np.array([lam / 2.0]), _cube_coeffs(n, [lam])
+    elif desc.kind == "nest":
+        r = lam * _nest_radii(desc)  # descending, r[0] = λ
+        counts = np.ones(len(r))
+        radii = np.append((r[:-1] - r[1:]) / 2.0, r[-1])
+        coeffs = np.zeros((len(r), 2))
+        coeffs[:-1, 0] = 2.0 * math.pi * (r[:-1] + r[1:])  # annuli
+        coeffs[-1] = (2.0 * math.pi * r[-1], -math.pi)     # centre disk
+    elif desc.kind in ("aString", "customString"):
+        if desc.kind == "aString":
+            j = np.arange(1, (_A_STRING_HOLES if desc.J is None else desc.J) + 1, dtype=float)
+            lengths, counts = lam * _a_string_length(j, desc.a), np.ones(len(j))
+        else:
+            lengths = lam * np.array([float(l) for l, _ in desc.string.entries])
+            counts = np.array([float(mult) for _, mult in desc.string.entries])
+        radii, coeffs = lengths / 2.0, np.full((len(lengths), 1), 2.0)
+    else:
+        raise ValueError(f"no hole table for kind {desc.kind!r}")
+    if full:
+        counts = np.append(1.0, counts)
+        radii = np.append(math.inf, radii)
+        coeffs = np.vstack((_collar_coeffs(desc), coeffs))
+    return _Holes(counts, radii, coeffs, ratios)
 
 
 def log_tube_volume(desc: SetDescriptor, t: float, full: bool = False) -> float:

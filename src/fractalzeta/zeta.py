@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from . import geometry
 from .geometry import (
@@ -289,8 +289,8 @@ def geometric_zeta(string: FractalString, s: complex) -> complex:
 class ZetaEstimate:
     """A zeta value with its accompanying uncertainty.
 
-    Quadrature estimates carry ``quad_err_bound``/``nodes``; Monte Carlo
-    estimates carry ``std_err``/``samples``.
+    Tube-zeta estimates carry ``quad_err_bound`` and ``nodes``, the number of
+    hole terms summed; Monte Carlo estimates carry ``std_err``/``samples``.
     """
 
     value: complex
@@ -305,210 +305,131 @@ class ZetaEstimate:
         return float(e)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# roundoff per unit magnitude of a summed term: a few ulps of each product
+_EPS = 16 * 2.0**-52
 
 
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
+def _expm1_over(z: complex, x):
+    """(e^{z x} - 1) / z, continuous at z = 0 where it equals x."""
+    return np.expm1(z * x) / z if z != 0 else x + 0j
 
 
-def _panel_integral(fvals_at, a: float, b: float, s: complex, n_dim: int,
-                    order: int) -> complex:
-    x, w = _gl(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    ts = mid + half * x
-    vs = fvals_at(ts)
-    integ = np.exp((s - n_dim - 1) * np.log(ts)) * vs
-    return half * complex(np.dot(w, integ))
+def _a_string_tail(desc: SetDescriptor, s: complex, delta: float,
+                   holes: int, floor: float) -> tuple[complex, float]:
+    """∫_0^δ t^{s-2} R(t) dt for the gaps beyond the first ``holes`` of the
+    infinite a-string, whose half-lengths all lie below ``floor``.
 
-
-def _local_exponent(vol, t: float) -> tuple[float, float]:
-    """Fitted local power p of V near t and its drift across six octaves.
-
-    Six octaves cover more than one period of any log-periodic exponent
-    oscillation with multiplier up to e^{6 ln 2}, so the reported drift is
-    not fooled by sampling at a flat phase of the oscillation.
+    Above ``floor`` R(t) is their total length (holes+1)^{-a}; below it a
+    two-power fit V ≈ c1 t^{1-D} + c2 t of the exact tube stands in for
+    R(t) = V(t) - 2t·holes.
     """
-    vs = [vol(t * 0.5 ** k) for k in range(7)]
-    if any(v <= 0 for v in vs):
-        return math.nan, math.inf
-    slopes = [math.log2(vs[k] / vs[k + 1]) for k in range(6)]
-    p = sum(slopes) / len(slopes)
-    return p, max(slopes) - min(slopes)
-
-
-def _string_segments_zeta(desc: SetDescriptor, s: complex, delta: float) -> tuple[complex, float, int]:
-    """ζ̃ for string descriptors: segmentwise-exact integration.
-
-    Between consecutive half-lengths the tube volume is affine in t, so each
-    segment integrates in closed form; below the last stored segment a fitted
-    two-power tail finishes the integral.
-    """
-    lam = desc.scale
-    n = 1
-    p1 = s - n  # exponent for the constant part
-    p2 = s - n + 1  # exponent for the linear part
-
-    def antider(t: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        # ∫ t^{s-2} (alpha + beta t) dt
-        return alpha * np.exp(p1 * np.log(t)) / p1 + beta * np.exp(p2 * np.log(t)) / p2
-
-    if desc.kind == "aString":
-        a = desc.a
-        jcap = desc.J if desc.J is not None else 120_000
-        j = np.arange(1, jcap + 1, dtype=float)
-        lengths = lam * geometry._a_string_length(j, a)
-    elif desc.kind == "customString":
-        lengths_list: list[float] = []
-        for l, mult in desc.string.entries:
-            lengths_list.extend([lam * float(l)] * mult)
-        lengths = np.array(lengths_list)
-    else:
-        raise ValueError("segment integration is for string descriptors")
-
-    halves = lengths / 2.0  # descending
-    inside = halves[halves < delta]
-    ksat = len(halves) - len(inside)  # gaps still open throughout [0, delta]
-    # on [upper[i+1], upper[i]] exactly ksat + i gaps are open: V = 2t(ksat+i) + c_i
-    upper = np.concatenate(([delta], inside))
-    segs = len(upper) - 1
-    jcount = ksat + np.arange(segs, dtype=float)
-    if desc.kind == "aString":
-        cj = lam * (jcount + 1.0) ** (-a)
-        if desc.J is not None:
-            cj = cj - lam * float(desc.J + 1) ** (-a)
-    else:
-        suffix = np.concatenate((np.cumsum(lengths[::-1])[::-1], [0.0]))
-        cj = suffix[(ksat + np.arange(segs)).astype(int)]
-
-    value = 0.0 + 0.0j
-    nodes = 0
-    if segs > 0:
-        hi, lo = upper[:-1], upper[1:]
-        pieces = antider(hi, cj, 2.0 * jcount) - antider(lo, cj, 2.0 * jcount)
-        value += complex(pieces.sum())
-        nodes += segs
-
-    floor = float(upper[-1])
-    if desc.kind == "customString":
-        # below the smallest half-length V(t) = 2 t M exactly
-        tail = 2.0 * len(lengths) * np.exp(p2 * math.log(floor)) / p2
-        value += complex(tail)
-        return complex(value), 1e-15 * abs(value), nodes
-    # infinite a-string tail: fit V ≈ c1 t^{1-D} + c2 t from two exact samples
-    dim = 1.0 / (1.0 + desc.a)
+    lam, a = desc.scale, desc.a
+    dim = 1.0 / (1.0 + a)
+    z = s - 1.0
+    rest = lam * float(holes + 1) ** (-a)
+    value = rest * np.exp(z * math.log(floor)) * _expm1_over(z, math.log(delta / floor))
     t1, t2 = floor, floor / 8.0
-    v1 = tube_volume(desc, t1)
-    v2 = tube_volume(desc, t2)
+    v1, v2 = tube_volume(desc, t1), tube_volume(desc, t2)
     e1, e2 = 1.0 - dim, 1.0
     det = t1**e1 * t2**e2 - t2**e1 * t1**e2
     c1 = (v1 * t2**e2 - v2 * t1**e2) / det
     c2 = (v2 * t1**e1 - v1 * t2**e1) / det
-    tail = c1 * np.exp((s - n + e1) * math.log(floor)) / (s - n + e1) \
-        + c2 * np.exp((s - n + e2) * math.log(floor)) / (s - n + e2)
-    value += complex(tail)
+    model = c1 * np.exp((z + e1) * math.log(floor)) / (z + e1) \
+        + c2 * np.exp((z + e2) * math.log(floor)) / (z + e2)
+    value += model - 2.0 * holes * np.exp((z + 1.0) * math.log(floor)) / (z + 1.0)
     # residual model error: sawtooth and next-order terms are O(floor^{2/(1+a)})
-    err = abs(tail) * (4.0 * floor ** (2.0 / (1.0 + desc.a)) + 1e-12)
-    return complex(value), float(err), nodes
+    err = abs(model) * (4.0 * floor ** (2.0 / (1.0 + a)) + 1e-12)
+    return complex(value), float(err)
+
+
+def _flat_drum_zeta(desc: SetDescriptor, s: complex, delta: float,
+                    tol: float) -> ZetaEstimate:
+    """ζ̃ of the flat drum by adaptive quadrature of the real and imaginary parts.
+
+    Its tube volume is not piecewise polynomial; it is evaluated in log space,
+    where it stays finite for tiny t.
+    """
+    z = s - desc.ambient_dim
+
+    def integrand(t: float) -> complex:
+        return np.exp((z - 1.0) * math.log(t) + geometry.log_tube_volume(desc, t))
+
+    kinks = [p for p in (desc.scale, saturation_threshold(desc)) if p < delta]
+    parts = [quad(lambda t: part(integrand(t)), 0.0, delta, points=kinks or None,
+                  limit=200, epsabs=0.25 * tol, epsrel=0.25 * tol, full_output=1)
+             for part in (np.real, np.imag)]
+    value = complex(parts[0][0], parts[1][0])
+    err = math.hypot(parts[0][1], parts[1][1])
+    if any(len(p) > 3 for p in parts) or err > tol * max(1.0, abs(value)):
+        raise NonconvergenceError(f"flat drum tube zeta bound {err:.3g} above tol {tol:g}")
+    return ZetaEstimate(value=value, quad_err_bound=err,
+                        nodes=sum(p[2]["neval"] for p in parts))
 
 
 def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
                    tol: float = 1e-10, full: bool = False) -> ZetaEstimate:
-    """ζ̃_A(s; δ) = ∫_0^δ t^{s-N-1} |A_t ∩ Ω| dt by kink-aligned quadrature.
+    """ζ̃_A(s; δ) = ∫_0^δ t^{s-N-1} |A_t ∩ Ω| dt as an exact sum over holes.
 
-    Panels are split exactly at the tube-volume kinks (half-gap scales), where
-    the integrand is piecewise smooth; the truncated lower tail is replaced by
-    a fitted power law and its uncertainty enters the returned bound.  Raises
-    :class:`NonconvergenceError` when the tail cannot be controlled (Re s too
-    close to the dimension).
+    The tube volume is a sum over the holes of Ω \\ A (and, with ``full``,
+    the outer collar) of polynomials h(t) that stop growing at the hole's
+    inradius ρ, so each hole integrates in closed form:
+    Σ_m c_m r^{s-N+m}/(s-N+m) + h(r)(δ^{s-N} - r^{s-N})/(s-N) with
+    r = min(ρ, δ).  The self-similar levels of Cantor sets and carpets sum as
+    a geometric series of ratio m·a^s.  The returned bound covers the roundoff
+    of the sum, amplified by 1/|1 - m·a^s| near the dimension, and for the
+    infinite a-string the fitted tail beyond its stored gaps; the flat drum,
+    whose tube is not piecewise polynomial, is integrated adaptively.
+    ``nodes`` counts the hole rows summed (integrand evaluations for the flat
+    drum).  Raises :class:`NonconvergenceError` where the integral diverges
+    (Re s at or below the dimension) or the bound exceeds ``tol·max(1, |ζ̃|)``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     s = complex(s)
     n_dim = desc.ambient_dim
-
-    if desc.kind in ("aString", "customString") and not full:
-        value, err, nodes = _string_segments_zeta(desc, s, delta)
-        return ZetaEstimate(value=value, quad_err_bound=err, nodes=nodes)
-
-    def vol(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([tube_volume(desc, float(tt), full=full) for tt in ts])
-        return out if np.ndim(t) else float(out[0])
-
-    def vol_arr(ts: np.ndarray) -> np.ndarray:
-        return np.array([tube_volume(desc, float(tt), full=full) for tt in ts])
-
-    floor = delta * 1e-6
-    floor_min = delta * 1e-58
-    best: tuple[complex, float, int] | None = None
-    while True:
-        edges = [delta]
-        bps = geometry.tube_breakpoints(desc, floor, delta)
-        edges.extend(float(b) for b in bps[::-1])
-        edges.append(floor)
-        # cap panel ratio at 4 by inserting geometric midpoints
-        refined: list[float] = [edges[0]]
-        for e in edges[1:]:
-            while refined[-1] / e > 4.0:
-                k = int(math.ceil(math.log(refined[-1] / e) / math.log(4.0)))
-                refined.append(refined[-1] * (e / refined[-1]) ** (1.0 / k))
-            refined.append(e)
-        edges = refined
-
-        acc = 0.0 + 0.0j
-        err_sum = 0.0
-        nodes = 0
-        stack = [(edges[i + 1], edges[i]) for i in range(len(edges) - 1)]
-        depth_splits = 0
-        while stack:
-            a, b = stack.pop()
-            i24 = _panel_integral(vol_arr, a, b, s, n_dim, 24)
-            i12 = _panel_integral(vol_arr, a, b, s, n_dim, 12)
-            perr = abs(i24 - i12)
-            nodes += 36
-            if perr > tol * 0.1 * max(1.0, abs(acc)) and depth_splits < 600 and b - a > 1e-14 * b:
-                mid = math.sqrt(a * b)
-                stack.append((a, mid))
-                stack.append((mid, b))
-                depth_splits += 1
-                continue
-            acc += i24
-            err_sum += perr
-
-        p, drift = _local_exponent(vol, floor)
-        if math.isnan(p):
-            tail = 0.0 + 0.0j
-            tail_err = 0.0
-        else:
-            # drift is the full slope range over six octaves; deviations of
-            # the mean-centered exponent stay within ~half that, and 0.75
-            # adds margin for sub-octave phases the samples cannot resolve
-            dp = 0.75 * drift + 1e-9
-            den = s - n_dim + p
-            if abs(den) <= dp:
-                # the pole of the power-law tail sits inside the exponent
-                # uncertainty band: no finite bound exists
-                tail = 0.0 + 0.0j
-                tail_err = math.inf
-            else:
-                tail = vol(floor) * np.exp((s - n_dim) * math.log(floor)) / den
-                tail_err = abs(tail) * min(1.0, dp / (abs(den) - dp) + dp)
-        total_err = err_sum + tail_err
-        value = acc + tail
-        best = (value, total_err, nodes)
-        if total_err <= tol * max(1.0, abs(value)):
-            break
-        if floor <= floor_min:
-            if total_err > 0.05 * abs(value):
-                raise NonconvergenceError(
-                    f"tube zeta tail uncontrollable at Re s = {s.real:g} (near the dimension)")
-            break
-        floor = max(floor * 1e-6, floor_min)
-    value, total_err, nodes = best
-    return ZetaEstimate(value=value, quad_err_bound=total_err, nodes=nodes)
+    if desc.kind == "flatDrum" and not full:
+        return _flat_drum_zeta(desc, s, delta, tol)
+    holes = geometry._hole_table(desc, delta, full=full)
+    z = s - n_dim
+    m = np.arange(1, holes.coeffs.shape[1] + 1)
+    # every h grows like (boundary measure)·t near 0, so ∫ t^{z-1} h diverges for Re z <= -1
+    if z.real <= -1.0:
+        raise NonconvergenceError(f"tube zeta diverges at t -> 0 for Re s <= {n_dim - 1}")
+    r = np.minimum(holes.radii, delta)
+    log_r = np.log(r)
+    poly = holes.coeffs * np.exp(np.multiply.outer(log_r, z + m)) / (z + m)
+    full_h = (holes.coeffs * np.power.outer(r, m)).sum(axis=1)
+    fill = full_h * np.exp(z * log_r) * _expm1_over(z, math.log(delta) - log_r)
+    terms = holes.counts * (poly.sum(axis=1) + fill)
+    # an exponent z·ln r carries roundoff |z ln r|·ulp into its power
+    mags = holes.counts * (np.abs(poly).sum(axis=1) + np.abs(fill)) \
+        * (1.0 + abs(z) * np.abs(log_r))
+    if holes.ratios is not None:
+        # level j of the family adds q^j times the head's own term plus
+        # w0 δ^z (e^{j z ℓ} - 1)/z q^j, with q = m a^s, p = m a^N, ℓ = ln(1/a)
+        count_ratio, a = holes.ratios
+        q = count_ratio * np.exp(s * math.log(a))
+        if abs(q) >= 1.0:
+            raise NonconvergenceError(
+                f"tube zeta diverges for Re s <= {math.log(count_ratio) / -math.log(a):g}")
+        p = count_ratio * a**n_dim
+        w0 = holes.counts[-1] * full_h[-1]
+        extra = w0 * np.exp(z * math.log(delta)) * q * _expm1_over(z, -math.log(a)) / (1.0 - p)
+        terms[-1] = (terms[-1] + extra) / (1.0 - q)
+        # 1/(1 - p) and 1/(1 - q) amplify the roundoff of p and q
+        mags[-1] = (mags[-1] + abs(extra) / (1.0 - p)) * (1.0 + abs(s * math.log(a))) \
+            / abs(1.0 - q) ** 2
+    value = complex(terms.sum())
+    err = _EPS * float(mags.sum())
+    if desc.kind == "aString" and desc.J is None:
+        rows = len(r) - int(full)
+        tail, tail_err = _a_string_tail(desc, s, delta, rows, float(r[-1]))
+        value += tail
+        err += tail_err
+    if not (math.isfinite(err) and err <= tol * max(1.0, abs(value))):
+        raise NonconvergenceError(
+            f"tube zeta bound {err:.3g} above tol {tol:g} at s = {s:g}")
+    return ZetaEstimate(value=value, quad_err_bound=err, nodes=len(r))
 
 
 def tube_zeta_closed(desc: SetDescriptor, s: complex, delta: float,

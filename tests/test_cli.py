@@ -308,11 +308,6 @@ def test_verify_reports_failure_with_exit_1(monkeypatch, capsys):
 # --- argparse-level errors -----------------------------------------------------------
 
 
-def test_threads_must_be_positive():
-    with pytest.raises(SystemExit):
-        run(["tube", "--set", "cantor", "--t", "0.1", "--threads", "0"])
-
-
 def test_unknown_set_choice_rejected():
     with pytest.raises(SystemExit):
         run(["tube", "--set", "pentagon", "--t", "0.1"])

@@ -407,6 +407,12 @@ def test_constructor_validation():
         geometry.tube_volume(geometry.carpet(2), -0.1)
 
 
+def test_gap_ladder_validation_raises():
+    # a raised error, unlike an assert, survives python -O
+    with pytest.raises(ValueError):
+        geometry.GapLadder(1, 1, 0.5, 0.5, 1)
+
+
 def test_similarity_dims():
     assert geometry.cantor_set(2, 1 / 3).similarity_dim == pytest.approx(LN2 / LN3)
     assert geometry.carpet(2).similarity_dim == pytest.approx(math.log(8) / LN3)

@@ -88,13 +88,20 @@ def test_carpet_form_equals_scaled_square_spray():
     (lambda: geometry.cantor_set(2, 1 / 3), 0.9 + 0.0j, 1 / 6),
     (lambda: geometry.cantor_set(2, 1 / 3), 0.8 + 3.0j, 1 / 6),
     (lambda: geometry.cantor_set(3, 0.2), 0.9 + 1.0j, 0.1),
+    # near Im s = ±2π/ln 3 and near the dimension, where a fitted power-law
+    # tail misses the log-periodic part of V(t)
+    (lambda: geometry.carpet(2), complex(D_CARPET2 + 0.4, 5.5), 0.5),
+    (lambda: geometry.carpet(2), complex(D_CARPET2 + 0.4, -5.5), 0.5),
+    (lambda: geometry.cantor_set(2, 1 / 3), complex(D_CANTOR + 0.1, 5.8), 0.5),
+    (lambda: geometry.carpet(2), complex(D_CARPET2 + 0.05, 5.8), 0.5),
+    (lambda: geometry.cantor_set(2, 1 / 3), complex(D_CANTOR + 0.02), 1 / 6),
 ])
 def test_tube_zeta_quad_matches_closed_form_within_bound(make, s, delta):
     desc = make()
     ref = tube_zeta_closed(desc, s, delta)
     est = tube_zeta_quad(desc, s, delta)
     assert abs(est.value - ref) <= est.err
-    assert abs(est.value - ref) < 1e-4 * max(1.0, abs(ref))
+    assert est.err <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_tube_zeta_quad_bound_honest_near_abscissa():
@@ -107,7 +114,7 @@ def test_tube_zeta_quad_bound_honest_near_abscissa():
         assert abs(est.value - ref) <= est.err
 
 
-@pytest.mark.parametrize("s", [D_CANTOR + 1e-6, D_CANTOR + 0.02, D_CANTOR - 0.05])
+@pytest.mark.parametrize("s", [D_CANTOR + 1e-6, D_CANTOR - 0.05])
 def test_tube_zeta_quad_refuses_nonconvergent_or_unboundable(s):
     desc = geometry.cantor_set(2, 1 / 3)
     with pytest.raises(NonconvergenceError):
@@ -120,6 +127,50 @@ def test_tube_zeta_quad_on_explicit_string():
     est = tube_zeta_quad(desc, s, 0.25)
     ref = tube_zeta_closed(desc, s, 0.25)
     assert abs(est.value - ref) <= est.err
+
+
+def test_tube_zeta_quad_on_nest_matches_hole_integrals():
+    # each annulus and the centre disk integrated on its own in mpmath
+    mp.mp.dps = 30
+    a, big_k, s, delta = mp.mpf(1) / 2, 30, mp.mpc(1.6, 1.0), mp.mpf(1)
+    radii = [mp.power(k, -a) for k in range(1, big_k + 1)]
+
+    def hole(h, rho):
+        inner = mp.quad(lambda t: mp.power(t, s - 3) * h(t), [0, min(rho, delta)])
+        if rho >= delta:
+            return inner
+        return inner + h(rho) * mp.quad(lambda t: mp.power(t, s - 3), [rho, delta])
+
+    ref = sum(hole(lambda t, ri=ri, ro=ro: 2 * mp.pi * t * (ri + ro), (ro - ri) / 2)
+              for ro, ri in zip(radii, radii[1:]))
+    ref += hole(lambda t: mp.pi * (2 * radii[-1] * t - t * t), radii[-1])
+    est = tube_zeta_quad(geometry.fractal_nest(0.5, big_k), 1.6 + 1.0j, 1.0)
+    assert abs(est.value - complex(ref)) <= est.err <= 1e-10 * abs(complex(ref))
+
+
+def test_tube_zeta_quad_on_flat_drum_matches_mpmath():
+    desc = geometry.flat_drum()
+    s, delta = 1.5 + 1.0j, 1.2
+    mp.mp.dps = 20
+
+    def integrand(t):
+        return mp.power(t, mp.mpc(s) - 3) * mp.exp(geometry.log_tube_volume(desc, float(t)))
+
+    # below t = 0.02 the tube volume is under e^{-50}: that part is negligible
+    sat = geometry.saturation_threshold(desc)
+    ref = complex(mp.quad(integrand, [0.02, 0.5, 1.0, sat, delta]))
+    est = tube_zeta_quad(desc, s, delta)
+    assert abs(est.value - ref) <= est.err <= 1e-10
+
+
+def test_tube_zeta_quad_continuous_at_ambient_dim():
+    # δ^{s-N} - ρ^{s-N} over s - N is 0/0 at s = N
+    desc = geometry.carpet(2)
+    at = tube_zeta_quad(desc, 2.0, 0.5).value
+    up = tube_zeta_quad(desc, 2.0 + 1e-8, 0.5).value
+    down = tube_zeta_quad(desc, 2.0 - 1e-8, 0.5).value
+    assert abs(at - up) <= 1e-8 * 200  # |dζ̃/ds| ≈ 117 here
+    assert abs(at - 0.5 * (up + down)) <= 1e-12 * abs(at)
 
 
 # --- Monte Carlo route ----------------------------------------------------------
