@@ -423,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_glue_window_values(args_list))
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, zeta.NonconvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -625,6 +625,24 @@ def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes
     return _Holes(counts, radii, coeffs, ratios)
 
 
+def _ladder_log_distances(desc: SetDescriptor, count: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """log d(x, A) for ``count`` uniform points x of Ω, drawn from its exact law.
+
+    A is Lebesgue-null, so a uniform point lies in a hole of level j >= 0 with
+    probability (1 - p)·p^j, p = m·a^N.  The boundary of its cube hole of side
+    g = λ·g₁·a^j lies in A and the interior does not, so the distance is
+    (g/2)(1 - U^{1/N}) with U uniform on [0, 1) (U = 0 is the hole's centre).
+    Drawn in log space, nothing underflows however deep the level.
+    """
+    lad = desc.ladder
+    levels = rng.geometric(1.0 - lad.volume_ratio, size=count) - 1
+    with np.errstate(divide="ignore"):
+        log_u = np.log(rng.random(count))
+    return (math.log(desc.scale * lad.first_gap / 2.0) + levels * math.log(lad.gap_ratio)
+            + np.log(-np.expm1(log_u / desc.ambient_dim)))
+
+
 def log_tube_volume(desc: SetDescriptor, t: float, full: bool = False) -> float:
     """log of the tube volume; exact in log space for the flat drum."""
     if desc.kind == "flatDrum":

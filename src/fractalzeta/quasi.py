@@ -116,7 +116,8 @@ def _rank_and_nullvector(rows: list[list[Fraction]]) -> tuple[int, tuple[Fractio
     if rank == k:
         return rank, None
     coeffs = tuple(aug[rank][width:])  # first zero row's recipe
-    assert any(c != 0 for c in coeffs)
+    if not any(c != 0 for c in coeffs):
+        raise RuntimeError("a rank-deficient elimination left an all-zero recipe")
     return rank, coeffs
 
 
@@ -277,7 +278,8 @@ def ordinate_min_gap(bases: Sequence[int], dim: float, band: float) -> float:
               * nn / np.log(np.longdouble(bases[i]))) if nn else 0.0
         for i, nn in distinct))
     gaps = np.diff(vals)
-    assert np.all(gaps > 0), "ordinates deduplication failed"
+    if not np.all(gaps > 0):
+        raise RuntimeError("ordinates deduplication failed")
     return float(gaps.min())
 
 

@@ -496,7 +496,7 @@ def _region_sampler(desc: SetDescriptor):
     lam = desc.scale
     n = desc.ambient_dim
     vol = region_volume(desc)
-    if desc.kind in ("cantor", "carpet", "boxBoundary"):
+    if desc.kind == "boxBoundary":
         def sample(count: int, rng: np.random.Generator) -> np.ndarray:
             return lam * rng.random((count, n))
         return sample, vol
@@ -554,38 +554,73 @@ def _box_sampler(desc: SetDescriptor, delta: float):
     raise ValueError(f"no bounding box sampler for kind {desc.kind!r}")
 
 
+def _variance_threshold(desc: SetDescriptor) -> float | None:
+    """(N + D)/2, below which d(x, A)^{s-N} has infinite variance on Ω.
+
+    E|d^{s-N}|² is the distance zeta at 2 Re s - N, finite only above the
+    dimension D.  Known for ladder sets and the infinite a-string.
+    """
+    if desc.ladder is None and not (desc.kind == "aString" and desc.J is None):
+        return None
+    return (desc.ambient_dim + desc.similarity_dim) / 2.0
+
+
+def _log_distances(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
+    """log d(x, A) from the distance oracle, -inf for points of A."""
+    with np.errstate(divide="ignore"):
+        return np.log(geometry.distance_many(desc, pts))
+
+
 def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
                      delta: float | None = None, full: bool = False) -> ZetaEstimate:
     """Monte Carlo estimate of the distance zeta with standard error.
 
-    Relative mode integrates d(x,A)^{s-N} over Ω by direct uniform sampling;
-    full mode needs ``delta`` and rejection-samples a bounding box of A_δ.
-    Deterministic for a fixed seed.
+    Relative mode averages d(x,A)^{s-N} over n uniform points of Ω; full mode
+    needs ``delta`` and averages d^{s-N}·[d <= δ] over n uniform points of a
+    box containing A_δ.  For Cantor sets and carpets the distance of a point
+    of Ω is drawn exactly from its law (a geometric hole level, then a
+    closed-form distance inside a cube hole) instead of from the float
+    distance oracle; in full mode only the box points outside Ω, whose
+    distance is to the boundary of Ω, are located.  Deterministic for a fixed
+    seed.  Raises :class:`NonconvergenceError` for ladder sets and the
+    infinite a-string at Re s <= (N + D)/2, where the variance is infinite
+    and a standard error would mean nothing.
     """
     if n < 2:
         raise ValueError("need at least two samples")
+    if full and delta is None:
+        raise ValueError("full-tube Monte Carlo needs delta")
     s = complex(s)
     ndim = desc.ambient_dim
+    threshold = _variance_threshold(desc)
+    if threshold is not None and s.real <= threshold:
+        raise NonconvergenceError(
+            f"Monte Carlo variance is infinite for Re s <= (N + D)/2 = {threshold:.6g}")
     rng = np.random.default_rng(seed)
     if full:
-        if delta is None:
-            raise ValueError("full-tube Monte Carlo needs delta")
-        sample, box_vol = _box_sampler(desc, delta)
+        sample, scale = _box_sampler(desc, delta)
         pts = sample(n, rng)
-        d = geometry.distance_many(desc, pts)
-        inside = d <= delta
-        vals = np.zeros(n, dtype=complex)
-        good = inside & (d > 0)
-        vals[good] = np.exp((s - ndim) * np.log(d[good]))
-        scale = box_vol
+        if desc.ladder is not None:
+            # ∂Ω lies in A, so a point outside Ω is at its distance to Ω and a
+            # point inside Ω takes a draw of the hole law
+            gap = np.linalg.norm(pts - np.clip(pts, 0.0, desc.scale), axis=1)
+            inside = gap == 0.0
+            log_d = np.empty(n)
+            log_d[~inside] = np.log(gap[~inside])
+            log_d[inside] = geometry._ladder_log_distances(desc, int(inside.sum()), rng)
+        else:
+            log_d = _log_distances(desc, pts)
+    elif desc.ladder is not None:
+        log_d = geometry._ladder_log_distances(desc, n, rng)
+        scale = region_volume(desc)
     else:
-        sample, region_vol = _region_sampler(desc)
-        pts = sample(n, rng)
-        d = geometry.distance_many(desc, pts)
-        good = d > 0
-        vals = np.zeros(n, dtype=complex)
-        vals[good] = np.exp((s - ndim) * np.log(d[good]))
-        scale = region_vol
+        sample, scale = _region_sampler(desc)
+        log_d = _log_distances(desc, sample(n, rng))
+    keep = np.isfinite(log_d)
+    if full:
+        keep &= log_d <= math.log(delta)
+    vals = np.zeros(n, dtype=complex)
+    vals[keep] = np.exp((s - ndim) * log_d[keep])
     mean = vals.mean()
     var = np.mean(np.abs(vals - mean) ** 2)
     std_err = scale * math.sqrt(var / n)

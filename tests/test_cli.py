@@ -155,6 +155,19 @@ def test_zeta_mc_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_zeta_quad_at_the_dimension_exits_2(capsys):
+    assert run(["zeta", "--set", "cantor", "--re", "0.6309297535714584",
+                "--method", "quad", "--delta", "0.1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_zeta_mc_with_infinite_variance_exits_2(capsys):
+    assert run(["zeta", "--set", "carpet2", "--re", "1.92", "--method", "mc",
+                "--n", "1000", "--seed", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(N + D)/2 = 1.94639" in err
+
+
 def test_zeta_closed_unavailable_for_flat_drum(capsys):
     assert run(["zeta", "--set", "flat", "--re", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -176,7 +176,7 @@ def test_tube_zeta_quad_continuous_at_ambient_dim():
 # --- Monte Carlo route ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("s", [1.95 + 0.0j, 1.5 + 1.0j])
+@pytest.mark.parametrize("s", [1.95 + 0.0j])
 def test_distance_zeta_mc_matches_closed(s):
     desc = geometry.carpet(2)
     ref = distance_zeta_closed(desc, s)
@@ -185,13 +185,67 @@ def test_distance_zeta_mc_matches_closed(s):
     assert abs(est.value - ref) < 4.0 * est.std_err
 
 
+@pytest.mark.parametrize("s", [1.92 + 0.0j, 1.9 + 0.0j, 1.5 + 1.0j])
+def test_distance_zeta_mc_refuses_infinite_variance(s):
+    # d^{s-2} has infinite variance on the carpet for Re s <= (2 + D)/2 = 1.946,
+    # so a std error there means nothing
+    with pytest.raises(NonconvergenceError, match="1.94639"):
+        distance_zeta_mc(geometry.carpet(2), s, n=100_000, seed=11)
+    with pytest.raises(NonconvergenceError):
+        scaling_check(geometry.carpet(2), 1.7, s, method="mc", n=1000, seed=11)
+
+
+def test_distance_zeta_mc_refuses_infinite_variance_on_a_string():
+    desc = geometry.a_string_set(1.0)  # (N + D)/2 = 0.75
+    with pytest.raises(NonconvergenceError, match="0.75"):
+        distance_zeta_mc(desc, 0.75, n=1000, seed=0)
+    est = distance_zeta_mc(desc, 0.9, n=1000, seed=0)
+    assert math.isfinite(est.std_err)
+
+
 def test_distance_zeta_mc_seed_reproducible():
     desc = geometry.carpet(2)
-    a = distance_zeta_mc(desc, 1.9 + 0.3j, n=20_000, seed=4)
-    b = distance_zeta_mc(desc, 1.9 + 0.3j, n=20_000, seed=4)
-    c = distance_zeta_mc(desc, 1.9 + 0.3j, n=20_000, seed=5)
+    a = distance_zeta_mc(desc, 1.95 + 0.3j, n=20_000, seed=4)
+    b = distance_zeta_mc(desc, 1.95 + 0.3j, n=20_000, seed=4)
+    c = distance_zeta_mc(desc, 1.95 + 0.3j, n=20_000, seed=5)
     assert a.value == b.value and a.std_err == b.std_err
     assert c.value != a.value
+
+
+_HOLE_LAW_SETS = {
+    "cantor": lambda: geometry.cantor_set(2, 1 / 3),
+    "C(5,1/10)": lambda: geometry.cantor_set(5, 0.1),
+    "carpet2": lambda: geometry.carpet(2),
+    "carpet3": lambda: geometry.carpet(3),
+    "carpet2 x1.7": lambda: geometry.scaled(geometry.carpet(2), 1.7),
+}
+
+
+@pytest.mark.parametrize("name", list(_HOLE_LAW_SETS))
+def test_ladder_hole_law_matches_tube_volume(name):
+    # P(d(x, A) <= t) for uniform x in Ω is |A_t ∩ Ω| / |Ω|
+    desc = _HOLE_LAW_SETS[name]()
+    n = 200_000
+    log_d = geometry._ladder_log_distances(desc, n, np.random.default_rng(3))
+    assert log_d.shape == (n,) and np.all(np.isfinite(log_d))
+    ts = [0.1, 0.02, 1e-6]
+    if name == "carpet2":
+        ts.append(3.0**-34 / 2)  # below what the float distance loop resolves
+    for t in ts:
+        p = geometry.tube_volume(desc, t) / geometry.region_volume(desc)
+        hits = np.count_nonzero(log_d <= math.log(t)) / n
+        assert abs(hits - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12, (t, hits, p)
+
+
+@pytest.mark.parametrize("name, s", [("cantor", 0.9 + 1.0j), ("carpet2", 1.97 - 0.5j)])
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("full", [False, True])
+def test_distance_zeta_mc_hole_law_matches_closed(name, s, lam, full):
+    desc = geometry.scaled(_HOLE_LAW_SETS[name](), lam)
+    delta = 0.45 * lam if full else None
+    ref = distance_zeta_closed(desc, s, delta=delta, full=full)
+    est = distance_zeta_mc(desc, s, n=200_000, seed=13, delta=delta, full=full)
+    assert abs(est.value - ref) < 4.0 * est.std_err
 
 
 def test_distance_zeta_mc_validation():
@@ -217,7 +271,7 @@ def test_scaling_identity_closed(make, s):
 
 
 def test_scaling_identity_mc():
-    rep = scaling_check(geometry.carpet(2), 1.7, 1.9 + 0.0j, method="mc",
+    rep = scaling_check(geometry.carpet(2), 1.7, 1.95 + 0.0j, method="mc",
                         n=60_000, seed=7)
     assert rep < 4.0  # reported in sigma units
 
