@@ -242,8 +242,7 @@ def _crit10() -> tuple[bool, str]:
         if k == 0:
             c0 = ck.real
     taus = tau0 + LN3 * np.arange(4096) / 4096
-    g = np.array([geometry.full_tube_volume(desc, float(math.exp(-tau))) for tau in taus])
-    g *= np.exp((1.0 - d) * taus)
+    g = geometry.full_tube_volume(desc, np.exp(-taus)) * np.exp((1.0 - d) * taus)
     strict = float(g.min()) < c0 < float(g.max())
     ok = rel_err <= 1e-3 and strict
     return ok, (f"cantor(2,1/3), |k| <= 5: max relative residue error {_fmt(rel_err)} (<= 1e-03); "

@@ -126,7 +126,7 @@ def _t_grid(args: argparse.Namespace) -> list[float]:
 def _cmd_tube(args: argparse.Namespace) -> int:
     desc = _build_set(args)
     ts = _t_grid(args)
-    rows = [(t, geometry.tube_volume(desc, t, full=args.full)) for t in ts]
+    rows = list(zip(ts, geometry.tube_volume(desc, ts, full=args.full).tolist()))
     if args.format == "csv":
         _write_text(_csv(("t", "volume"), rows), args.output)
     else:

@@ -44,9 +44,6 @@ __all__ = [
     "saturation_threshold",
 ]
 
-_LADDER_FAMILIES = ("cantor", "carpet")
-
-
 @dataclass(frozen=True)
 class FractalString:
     """A nonincreasing sequence of lengths with multiplicities.
@@ -79,25 +76,15 @@ class FractalString:
         return sum(m for _, m in self.entries)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # ascending lengths, multiplicities, and suffix sums of length*mult
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # ascending lengths and their multiplicities
         lengths = np.array([float(l) for l, _ in self.entries])[::-1]
         mults = np.array([m for _, m in self.entries], dtype=float)[::-1]
-        csum = np.cumsum(lengths * mults)
-        return lengths, mults, csum
-
-    def tube(self, t: float) -> float:
-        """Inner tube volume Σ min(ℓ_j, 2t) of the string laid on a line."""
-        if t <= 0:
-            return 0.0
-        lengths, mults, csum = self._arrays
-        k = int(np.searchsorted(lengths, 2.0 * t, side="right"))
-        short = csum[k - 1] if k > 0 else 0.0
-        return float(short + 2.0 * t * mults[k:].sum())
+        return lengths, mults
 
     def geometric_partial(self, s: complex, nmax: int | None = None) -> complex:
         """Partial sum Σ mult_j ℓ_j^s over the stored entries."""
-        lengths, mults, _ = self._arrays
+        lengths, mults = self._arrays
         logs = np.log(lengths)
         vals = np.exp(np.multiply.outer(s, logs)) * mults
         return complex(vals.sum())
@@ -288,6 +275,11 @@ def fractal_nest(a: float, K: int) -> SetDescriptor:
     return SetDescriptor(kind="nest", ambient_dim=2, a=a, K=K)
 
 
+def _nest_radii(desc: SetDescriptor) -> np.ndarray:
+    k = np.arange(1, desc.K + 1, dtype=float)
+    return k ** (-desc.a)
+
+
 def flat_drum() -> SetDescriptor:
     """The origin relative to the cusp region {(x, y): 0 < x < 1, 0 < y < e^{-1/x}}."""
     return SetDescriptor(kind="flatDrum", ambient_dim=2)
@@ -311,7 +303,128 @@ def scaled(desc: SetDescriptor, lam: float) -> SetDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# regions
+# hole tables
+
+
+class _Holes(NamedTuple):
+    """The tube of a drum as a sum over the holes of Ω \\ A.
+
+    Row i: ``counts[i]`` holes of inradius ``radii[i]`` (``inf`` for the
+    outer collar), each covering h_i(t) = Σ_m coeffs[i, m-1] t^m within t of
+    its boundary for t <= radii[i], and h_i(radii[i]) beyond.  With
+    ``ratios = (m, a)`` the last row heads a geometric family: its level
+    j >= 0 holds counts[-1]·m^j holes of inradius radii[-1]·a^j.  The tube
+    volume is Σ_i counts[i]·h_i(min(t, radii[i])) over all rows and levels;
+    its kinks are the finite radii, and once they are all passed it is |Ω|.
+    """
+
+    counts: np.ndarray
+    radii: np.ndarray
+    coeffs: np.ndarray
+    ratios: tuple[int, float] | None = None
+
+
+# leading gaps of the infinite a-string held as holes; the rest is a tail model
+_A_STRING_HOLES = 120_000
+
+
+def _truncated(desc: SetDescriptor) -> bool:
+    """True for the infinite a-string, whose table holds its leading gaps only."""
+    return desc.kind == "aString" and desc.J is None
+
+
+def _cube_coeffs(n: int, sides: np.ndarray) -> np.ndarray:
+    """Coefficients of g^n - (g - 2t)^n in t^1..t^n, one row per side g."""
+    factors = [-math.comb(n, j) * (-2.0) ** j for j in range(1, n + 1)]
+    return np.power.outer(sides, np.arange(n - 1.0, -1.0, -1.0)) * factors
+
+
+def _ball_volume(j: int) -> float:
+    """Volume ω_j of the unit ball of R^j."""
+    return 1.0 if j == 0 else 2.0 if j == 1 else _ball_volume(j - 2) * 2.0 * math.pi / j
+
+
+def _collar_coeffs(desc: SetDescriptor) -> list[float]:
+    """Coefficients in t^1..t^N of the outer collar |A_t \\ Ω|.
+
+    It is a Euclidean Steiner polynomial: 2t for every kind on a line, the
+    annulus around the nest's unit disk, and Σ_j C(N, j) λ^{N-j} ω_j t^j
+    around the box λ[0,1]^N of ladder sets and box boundaries.  The flat
+    drum, a relative construction only, has no collar.
+    """
+    lam, n = desc.scale, desc.ambient_dim
+    if desc.kind == "nest":
+        return [2.0 * math.pi * lam, math.pi]
+    return [math.comb(n, j) * lam ** (n - j) * _ball_volume(j) for j in range(1, n + 1)]
+
+
+def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes:
+    """The holes of Ω \\ A, and with ``full`` the outer collar, as a ``_Holes``.
+
+    Ladder levels with gaps wider than 2δ are rows of their own; the level
+    after them heads the geometric family of all narrower ones, whose holes
+    are all saturated for t >= δ.  The infinite a-string holds its first
+    ``_A_STRING_HOLES`` gaps only.  The flat drum has no holes.
+    """
+    lam = desc.scale
+    n = desc.ambient_dim
+    ratios = None
+    if desc.ladder is not None:
+        lad = desc.ladder
+        ks = np.arange(lad.depth_for(delta / lam) + 1, dtype=float)
+        counts = lad.first_count * float(lad.count_ratio) ** ks
+        sides = lam * lad.first_gap * lad.gap_ratio**ks
+        radii, coeffs = sides / 2.0, _cube_coeffs(n, sides)
+        ratios = (lad.count_ratio, lad.gap_ratio)
+    elif desc.kind == "boxBoundary":
+        counts, radii, coeffs = np.ones(1), np.array([lam / 2.0]), _cube_coeffs(n, np.array([lam]))
+    elif desc.kind == "nest":
+        r = lam * _nest_radii(desc)  # descending, r[0] = λ
+        counts = np.ones(len(r))
+        # r_k - r_{k+1} is the a-string gap ℓ_k, free of cancellation
+        widths = lam * _a_string_length(np.arange(1.0, len(r)), desc.a)
+        radii = np.append(widths / 2.0, r[-1])
+        coeffs = np.zeros((len(r), 2))
+        coeffs[:-1, 0] = 2.0 * math.pi * (r[:-1] + r[1:])  # annuli
+        coeffs[-1] = (2.0 * math.pi * r[-1], -math.pi)     # centre disk
+    elif desc.kind in ("aString", "customString"):
+        if desc.kind == "aString":
+            j = np.arange(1, (_A_STRING_HOLES if desc.J is None else desc.J) + 1, dtype=float)
+            lengths, counts = lam * _a_string_length(j, desc.a), np.ones(len(j))
+        else:
+            lengths = lam * np.array([float(l) for l, _ in desc.string.entries])
+            counts = np.array([float(mult) for _, mult in desc.string.entries])
+        radii, coeffs = lengths / 2.0, np.full((len(lengths), 1), 2.0)
+    else:
+        raise ValueError(f"no hole table for kind {desc.kind!r}")
+    if full:
+        counts = np.append(1.0, counts)
+        radii = np.append(math.inf, radii)
+        coeffs = np.vstack((_collar_coeffs(desc), coeffs))
+    return _Holes(counts, radii, coeffs, ratios)
+
+
+def _poly(coeffs: np.ndarray | list[float], ts: np.ndarray) -> np.ndarray:
+    """Σ_m coeffs[..., m-1]·t^m over the last axis of ``coeffs``."""
+    return (coeffs * ts[..., None] ** np.arange(1, np.shape(coeffs)[-1] + 1)).sum(axis=-1)
+
+
+def _saturated_volumes(holes: _Holes, n: int) -> np.ndarray:
+    """count·h(ρ) for each row: the volume it covers once t >= ρ.
+
+    The family head stands for its whole family, which is saturated for
+    t >= δ and covers w₀/(1 - m·a^N), w₀ being the head's own volume.  The
+    collar, with ρ = ∞, never saturates, and its entry is ∞.
+    """
+    vols = holes.counts * _poly(holes.coeffs, holes.radii)
+    if holes.ratios is not None:
+        count_ratio, a = holes.ratios
+        vols[-1] /= 1.0 - count_ratio * a**n
+    return vols
+
+
+# ---------------------------------------------------------------------------
+# regions and tube volumes
 
 
 _FLAT_REGION_VOLUME: float | None = None
@@ -329,106 +442,98 @@ def _flat_region_volume() -> float:
 
 
 def region_volume(desc: SetDescriptor) -> float:
-    """|Ω| of the reference region, in closed form."""
-    lam = desc.scale
-    n = desc.ambient_dim
-    if desc.kind in ("cantor", "carpet", "boxBoundary"):
-        return lam**n
-    if desc.kind == "aString":
-        if desc.J is None:
-            return lam
-        return lam * (1.0 - float(desc.J + 1) ** (-desc.a))
-    if desc.kind == "customString":
-        return lam * float(desc.string.total)
-    if desc.kind == "nest":
-        return math.pi * lam**2
-    if desc.kind == "flatDrum":
-        return lam**2 * _flat_region_volume()
-    raise ValueError(f"unknown descriptor kind {desc.kind!r}")
+    """|Ω| of the reference region.
 
-
-# ---------------------------------------------------------------------------
-# tube volumes
-
-
-def _ladder_tube_unit(ladder: GapLadder, t: float) -> float:
-    """Inner tube volume of a ladder set at unit scale.
-
-    Uses the positive-sum form: holes with gap <= 2t are fully covered and
-    enter through the exact geometric tail, so there is no cancellation for
-    arbitrarily small t.
+    A is Lebesgue-null, so |Ω| is the saturated total of the hole table.  The
+    infinite a-string, whose table is truncated, fills [0, λ]; the flat drum,
+    which has no holes, integrates its cusp.
     """
-    if t <= 0:
-        return 0.0
-    n = ladder.hole_dim
-    if 2.0 * t >= ladder.first_gap:
-        return ladder.total_volume
-    k0 = ladder.depth_for(t)
-    ks = np.arange(1, k0 + 1, dtype=float)
-    counts = ladder.first_count * float(ladder.count_ratio) ** (ks - 1)
-    gaps = ladder.first_gap * ladder.gap_ratio ** (ks - 1)
-    covered = gaps**n - np.maximum(gaps - 2.0 * t, 0.0) ** n
-    partial = float(np.dot(counts, covered))
-    tail = ladder.total_volume * ladder.volume_ratio**k0
-    return partial + tail
+    if desc.kind == "flatDrum":
+        return desc.scale**2 * _flat_region_volume()
+    if _truncated(desc):
+        return desc.scale
+    return float(_saturated_volumes(_hole_table(desc, math.inf), desc.ambient_dim).sum())
 
 
-def _a_string_count(a: float, t: float) -> int:
-    """j* = #{ j >= 1 : ℓ_j > 2t } for the infinite a-string."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if _a_string_length(1.0, a) <= 2.0 * t:
-        return 0
-    # bracket by doubling from the asymptotic guess j ~ (a/2t)^{1/(1+a)}
-    hi = max(2, int((a / (2.0 * t)) ** (1.0 / (1.0 + a))))
-    while _a_string_length(float(hi), a) > 2.0 * t:
-        hi *= 2
-    lo = 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _a_string_length(float(mid), a) > 2.0 * t:
-            lo = mid
-        else:
-            hi = mid
+def _a_string_count(a: float, u: np.ndarray) -> np.ndarray:
+    """j* = #{ j >= 1 : ℓ_j > 2u } for the infinite a-string, for each u > 0."""
+    two_u = 2.0 * np.asarray(u, dtype=float)
+    # a(j+1)^{-a-1} <= ℓ_j <= a j^{-a-1} puts j* in [g - 2, g), g = ⌈(a/2u)^{1/(1+a)}⌉;
+    # widen that bracket until ℓ_lo > 2u (ℓ_0 = ∞) and ℓ_hi <= 2u hold in
+    # floating point, then bisect, ℓ_j being decreasing
+    guess = np.ceil((a / two_u) ** (1.0 / (1.0 + a)))
+    lo, hi = np.maximum(guess - 3.0, 0.0), guess + 1.0
+    while (short := _a_string_length(hi, a) > two_u).any():
+        hi = np.where(short, 2.0 * hi, hi)
+    while (wide := (lo > 0) & (_a_string_length(np.maximum(lo, 1.0), a) <= two_u)).any():
+        lo = np.where(wide, np.floor(0.5 * lo), lo)
+    while (open_ := hi - lo > 1.0).any():
+        mid = np.floor(0.5 * (lo + hi))
+        above = _a_string_length(np.maximum(mid, 1.0), a) > two_u
+        lo = np.where(open_ & above, mid, lo)
+        hi = np.where(open_ & ~above, mid, hi)
     return lo
 
 
-def _a_string_tube_unit(a: float, J: int | None, t: float) -> float:
-    if t <= 0:
-        return 0.0
-    jstar = _a_string_count(a, t)
-    if J is not None and jstar >= J:
-        # every stored gap is wider than 2t
-        return 2.0 * t * J
-    tail = float(jstar + 1) ** (-a)
-    if J is not None:
-        tail -= float(J + 1) ** (-a)
-    return 2.0 * t * jstar + tail
+def _table_tube(desc: SetDescriptor, ts: np.ndarray, delta: float, full: bool) -> np.ndarray:
+    # rows sorted by inradius: those at or below t are saturated (a prefix
+    # sum), those above it are polynomials in t (suffix sums of coefficients)
+    holes = _hole_table(desc, delta, full)
+    order = np.argsort(holes.radii)
+    rows = len(order)
+    saturated = np.zeros(rows + 1)
+    np.cumsum(_saturated_volumes(holes, desc.ambient_dim)[order], out=saturated[1:])
+    weights = holes.counts[:, None] * holes.coeffs
+    unsaturated = np.zeros((rows + 1, weights.shape[1]))
+    np.cumsum(weights[order[::-1]], axis=0, out=unsaturated[1:])
+    k = np.searchsorted(holes.radii[order], ts, side="right")
+    return saturated[k] + _poly(unsaturated[rows - k], ts)
 
 
-def _nest_radii(desc: SetDescriptor) -> np.ndarray:
-    k = np.arange(1, desc.K + 1, dtype=float)
-    return k ** (-desc.a)
+def _a_string_tube(desc: SetDescriptor, ts: np.ndarray, full: bool) -> np.ndarray:
+    # 2t·j* + λ(j*+1)^{-a}: the j* gaps wider than 2t, then every narrower one
+    lam, a = desc.scale, desc.a
+    u = ts / lam
+    j = _a_string_count(a, np.where(u > 0, u, 1.0))
+    vols = np.where(u > 0, lam * (2.0 * u * j + (j + 1.0) ** (-a)), 0.0)
+    return vols + _poly(_collar_coeffs(desc), ts) if full else vols
 
 
-def _nest_tube_unit(desc: SetDescriptor, t: float) -> float:
-    """Area of (∪_k circle(r_k))_t ∩ unit disk, by merging radial intervals."""
-    if t <= 0:
-        return 0.0
-    r = _nest_radii(desc)[::-1]  # ascending
-    lo = r - t
-    hi = r + t
-    # merge overlapping [lo, hi] runs (radii sorted ascending)
-    breaks = np.flatnonzero(lo[1:] > hi[:-1])
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [len(r) - 1]))
-    area = 0.0
-    for s_idx, e_idx in zip(starts, ends):
-        run_lo = max(lo[s_idx], 0.0)
-        run_hi = min(hi[e_idx], 1.0)
-        if run_hi > run_lo:
-            area += run_hi**2 - run_lo**2
-    return math.pi * area
+def tube_volume(desc: SetDescriptor, t: float | np.ndarray,
+                full: bool = False) -> float | np.ndarray:
+    """Tube volume at distance t: |A_t ∩ Ω| (default) or |A_t| with ``full``.
+
+    ``t`` is a scalar, giving a float, or an array, giving an array of its
+    shape.  The value is the sum of the hole table, built once at δ = min t
+    and sorted by inradius: a prefix sum of the saturated holes, suffix sums
+    of the coefficients of the others, and the closed-form volume of the
+    geometric family below δ.  The infinite a-string, whose table is
+    truncated, is 2t·j*(t) + λ(j*+1)^{-a} with j* = #{ j : λℓ_j > 2t }.  The
+    flat drum has no holes; its value underflows for t below ~1.4e-3 (use
+    ``log_tube_volume`` there).  Raises ``ValueError`` if any t < 0.
+    """
+    ts = np.asarray(t, dtype=float)
+    delta = float(ts.min(initial=math.inf))
+    if delta < 0:
+        raise ValueError("t must be nonnegative")
+    if delta == 0:
+        delta = float(ts.min(initial=math.inf, where=ts > 0))
+    if desc.kind == "flatDrum":
+        if full:
+            raise ValueError("the flat drum is a relative construction only")
+        logs = [log_tube_volume(desc, float(x)) for x in ts.ravel()]
+        vols = np.exp(logs).reshape(ts.shape)
+    elif delta == math.inf:  # every t is 0
+        vols = np.zeros(ts.shape)
+    elif _truncated(desc):
+        vols = _a_string_tube(desc, ts, full)
+    else:
+        vols = _table_tube(desc, ts, delta, full)
+    return float(vols) if vols.ndim == 0 else vols
+
+
+def full_tube_volume(desc: SetDescriptor, t: float | np.ndarray) -> float | np.ndarray:
+    return tube_volume(desc, t, full=True)
 
 
 def _flat_log_tube_unit(t: float) -> float:
@@ -479,152 +584,6 @@ def _flat_log_tube_unit(t: float) -> float:
     return math.log(val) - inv_t
 
 
-def tube_volume(desc: SetDescriptor, t: float, full: bool = False) -> float:
-    """Tube volume at distance t: |A_t ∩ Ω| (default) or |A_t| with ``full``.
-
-    Closed/stable forms throughout; for the flat drum the value underflows for
-    t below ~1.4e-3 (use ``log_tube_volume`` there).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    lam = desc.scale
-    n = desc.ambient_dim
-    u = t / lam  # unit-scale tube parameter
-    if desc.kind in ("cantor", "carpet"):
-        inner = lam**n * _ladder_tube_unit(desc.ladder, u)
-        if not full:
-            return inner
-        return inner + _outer_collar(desc, t)
-    if desc.kind == "aString":
-        inner = lam * _a_string_tube_unit(desc.a, desc.J, u)
-        if not full:
-            return inner
-        if desc.J is not None:
-            raise ValueError("full tube is only defined for the infinite a-string")
-        return inner + 2.0 * t
-    if desc.kind == "customString":
-        if full:
-            raise ValueError("custom strings have no canonical full tube")
-        return lam * desc.string.tube(u)
-    if desc.kind == "nest":
-        inner = lam**2 * _nest_tube_unit(desc, u)
-        if not full:
-            return inner
-        # outer annulus beyond the unit disk around the largest circle
-        return inner + math.pi * ((lam + t) ** 2 - lam**2)
-    if desc.kind == "boxBoundary":
-        if full:
-            return (lam + 2.0 * t) ** n - max(lam - 2.0 * t, 0.0) ** n
-        return lam**n - max(lam - 2.0 * t, 0.0) ** n
-    if desc.kind == "flatDrum":
-        if full:
-            raise ValueError("the flat drum is a relative construction only")
-        lv = log_tube_volume(desc, t)
-        return math.exp(lv) if lv > -700 else 0.0
-    raise ValueError(f"unknown descriptor kind {desc.kind!r}")
-
-
-def _outer_collar(desc: SetDescriptor, t: float) -> float:
-    """|A_t \\ Ω| for ladder sets whose region boundary lies in A."""
-    lam = desc.scale
-    if desc.ambient_dim == 1:
-        return 2.0 * t
-    if desc.ambient_dim == 2:
-        return 4.0 * lam * t + math.pi * t**2
-    # N = 3: faces, quarter-cylinder edges, octant-sphere corners
-    return 6.0 * lam**2 * t + 3.0 * math.pi * lam * t**2 + (4.0 / 3.0) * math.pi * t**3
-
-
-def full_tube_volume(desc: SetDescriptor, t: float) -> float:
-    return tube_volume(desc, t, full=True)
-
-
-class _Holes(NamedTuple):
-    """Row i: ``counts[i]`` holes of inradius ``radii[i]`` (``inf`` for the
-    outer collar), each covering h_i(t) = Σ_m coeffs[i, m-1] t^m within t of
-    its boundary for t <= radii[i], and h_i(radii[i]) beyond.  With
-    ``ratios = (m, a)`` the last row heads a geometric family: its level
-    j >= 0 holds counts[-1]·m^j holes of inradius radii[-1]·a^j.
-    """
-
-    counts: np.ndarray
-    radii: np.ndarray
-    coeffs: np.ndarray
-    ratios: tuple[int, float] | None = None
-
-
-# leading gaps of the infinite a-string held as holes; the rest is a tail model
-_A_STRING_HOLES = 120_000
-
-
-def _cube_coeffs(n: int, sides: np.ndarray) -> np.ndarray:
-    """Coefficients of g^n - (g - 2t)^n in t^1..t^n, one row per side g."""
-    j = np.arange(1, n + 1)
-    binom = np.array([math.comb(n, k) for k in j], dtype=float)
-    return -binom * (-2.0) ** j * np.power.outer(np.asarray(sides, dtype=float), n - j)
-
-
-def _collar_coeffs(desc: SetDescriptor) -> list[float]:
-    """Coefficients in t^1..t^N of the outer collar |A_t \\ Ω|."""
-    lam = desc.scale
-    n = desc.ambient_dim
-    if desc.kind == "boxBoundary":
-        return [math.comb(n, j) * 2.0**j * lam ** (n - j) for j in range(1, n + 1)]
-    if desc.kind == "nest":
-        return [2.0 * math.pi * lam, math.pi]
-    if desc.ladder is None and not (desc.kind == "aString" and desc.J is None):
-        raise ValueError(f"no full tube for kind {desc.kind!r} with these parameters")
-    # Steiner polynomial of the unit interval, square or cube
-    return {1: [2.0],
-            2: [4.0 * lam, math.pi],
-            3: [6.0 * lam**2, 3.0 * math.pi * lam, 4.0 * math.pi / 3.0]}[n]
-
-
-def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes:
-    """The holes whose inner tubes make up the tube volume on [0, δ].
-
-    Ladder levels with gaps wider than 2δ are rows of their own; the level
-    after them heads the geometric family of all narrower ones.  The infinite
-    a-string holds its first ``_A_STRING_HOLES`` gaps only.
-    """
-    lam = desc.scale
-    n = desc.ambient_dim
-    ratios = None
-    if desc.ladder is not None:
-        lad = desc.ladder
-        ks = np.arange(lad.depth_for(delta / lam) + 1, dtype=float)
-        counts = lad.first_count * float(lad.count_ratio) ** ks
-        sides = lam * lad.first_gap * lad.gap_ratio**ks
-        radii, coeffs = sides / 2.0, _cube_coeffs(n, sides)
-        ratios = (lad.count_ratio, lad.gap_ratio)
-    elif desc.kind == "boxBoundary":
-        counts, radii, coeffs = np.ones(1), np.array([lam / 2.0]), _cube_coeffs(n, [lam])
-    elif desc.kind == "nest":
-        r = lam * _nest_radii(desc)  # descending, r[0] = λ
-        counts = np.ones(len(r))
-        radii = np.append((r[:-1] - r[1:]) / 2.0, r[-1])
-        coeffs = np.zeros((len(r), 2))
-        coeffs[:-1, 0] = 2.0 * math.pi * (r[:-1] + r[1:])  # annuli
-        coeffs[-1] = (2.0 * math.pi * r[-1], -math.pi)     # centre disk
-    elif desc.kind in ("aString", "customString"):
-        if desc.kind == "aString":
-            j = np.arange(1, (_A_STRING_HOLES if desc.J is None else desc.J) + 1, dtype=float)
-            lengths, counts = lam * _a_string_length(j, desc.a), np.ones(len(j))
-        else:
-            lengths = lam * np.array([float(l) for l, _ in desc.string.entries])
-            counts = np.array([float(mult) for _, mult in desc.string.entries])
-        radii, coeffs = lengths / 2.0, np.full((len(lengths), 1), 2.0)
-    else:
-        raise ValueError(f"no hole table for kind {desc.kind!r}")
-    if full:
-        counts = np.append(1.0, counts)
-        radii = np.append(math.inf, radii)
-        coeffs = np.vstack((_collar_coeffs(desc), coeffs))
-    return _Holes(counts, radii, coeffs, ratios)
-
-
 def _ladder_log_distances(desc: SetDescriptor, count: int,
                           rng: np.random.Generator) -> np.ndarray:
     """log d(x, A) for ``count`` uniform points x of Ω, drawn from its exact law.
@@ -654,80 +613,32 @@ def log_tube_volume(desc: SetDescriptor, t: float, full: bool = False) -> float:
 
 
 def saturation_threshold(desc: SetDescriptor) -> float:
-    """sup_{x∈Ω} d(x, A): beyond this t the inner tube fills Ω."""
-    lam = desc.scale
-    if desc.kind in ("cantor", "carpet"):
-        return lam * desc.ladder.first_gap / 2.0
-    if desc.kind == "aString":
-        top = _a_string_length(1.0, desc.a) / 2.0
-        if desc.J is None:
-            return lam * top
-        return lam * max(top, _a_string_length(float(desc.J), desc.a) / 2.0)
-    if desc.kind == "customString":
-        return lam * float(desc.string.entries[0][0]) / 2.0
-    if desc.kind == "nest":
-        r = _nest_radii(desc)
-        gaps = np.diff(r[::-1])
-        inner_disk = r[-1]
-        return lam * max(float(gaps.max()) / 2.0 if len(gaps) else 0.0, float(inner_disk))
-    if desc.kind == "boxBoundary":
-        return lam / 2.0
+    """sup_{x∈Ω} d(x, A), the largest inradius of the hole table: beyond this
+    t the inner tube fills Ω."""
     if desc.kind == "flatDrum":
-        return math.hypot(1.0, math.exp(-1.0)) * lam
-    raise ValueError(f"unknown descriptor kind {desc.kind!r}")
+        return math.hypot(1.0, math.exp(-1.0)) * desc.scale
+    return float(_hole_table(desc, math.inf).radii.max())
 
 
 def tube_breakpoints(desc: SetDescriptor, tmin: float, tmax: float) -> np.ndarray:
     """Kinks of t ↦ tube_volume in (tmin, tmax), ascending.
 
-    These are the half-gap scales g_k/2 (ladders) and ℓ_j/2 (strings); the
-    tube volume is piecewise polynomial between consecutive breakpoints.
+    These are the inradii of the hole table: half-gaps g_k/2 (ladders) and
+    ℓ_j/2 (strings, every one of them for the infinite a-string), the nest's
+    half annulus widths and its centre disk's radius.  The tube volume is
+    piecewise polynomial between consecutive breakpoints; the flat drum's is
+    smooth.
     """
     if tmin <= 0 or tmax <= tmin:
         raise ValueError("need 0 < tmin < tmax")
-    lam = desc.scale
-    pts: list[float] = []
-    if desc.kind in ("cantor", "carpet"):
-        g = lam * desc.ladder.first_gap / 2.0
-        while g > tmax:
-            g *= desc.ladder.gap_ratio
-        while g > tmin:
-            pts.append(g)
-            g *= desc.ladder.gap_ratio
-    elif desc.kind == "aString":
-        j = 1
-        jcap = desc.J if desc.J is not None else 200_000
-        while j <= jcap:
-            half = lam * float(_a_string_length(float(j), desc.a)) / 2.0
-            if half <= tmin:
-                break
-            if half < tmax:
-                pts.append(half)
-            j += 1
-    elif desc.kind == "customString":
-        for length, _ in desc.string.entries:
-            half = lam * float(length) / 2.0
-            if half <= tmin:
-                break
-            if half < tmax:
-                pts.append(half)
-    elif desc.kind == "nest":
-        r = _nest_radii(desc)[::-1]
-        halves = np.diff(r) / 2.0
-        for h in np.unique(halves)[::-1]:
-            v = lam * float(h)
-            if tmin < v < tmax:
-                pts.append(v)
-        pts.append(lam * float(r[0]))  # center disk fill-in
-        pts = [p for p in pts if tmin < p < tmax]
-    elif desc.kind == "boxBoundary":
-        if tmin < lam / 2.0 < tmax:
-            pts.append(lam / 2.0)
-    elif desc.kind == "flatDrum":
-        pass  # smooth
+    if desc.kind == "flatDrum":
+        return np.array([])
+    if _truncated(desc):
+        lo, hi = _a_string_count(desc.a, np.array([tmax, tmin]) / desc.scale)
+        radii = desc.scale * _a_string_length(np.arange(lo + 1.0, hi + 1.0), desc.a) / 2.0
     else:
-        raise ValueError(f"unknown descriptor kind {desc.kind!r}")
-    return np.array(sorted(set(pts)))
+        radii = _hole_table(desc, tmin).radii
+    return np.unique(radii[(radii > tmin) & (radii < tmax)])
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,7 @@ def spray_dims(ratios: Sequence[float], w: Window,
 # Fourier-coefficient residues
 
 
-def fourier_residues(tube: Callable[[float], float], ambient_dim: int, dim: float,
+def fourier_residues(tube: Callable[[np.ndarray], np.ndarray], ambient_dim: int, dim: float,
                      period: float, kmax: int, tau0: float,
                      nodes: int = 4096) -> list[tuple[int, complex]]:
     """Residues of ζ̃ on the critical lattice from the tube function itself.
@@ -373,13 +373,14 @@ def fourier_residues(tube: Callable[[float], float], ambient_dim: int, dim: floa
     Writes |A_t| = t^{N-D} G(log 1/t) with G exactly ``period``-periodic for
     τ >= tau0 (capped tube of a lattice set) and returns the Fourier
     coefficients c_k = (1/T) ∫ G(τ) e^{-2πikτ/T} dτ for |k| <= kmax, which
-    equal res(ζ̃, D + 2πik/T).  Raises if G fails the periodicity check.
+    equal res(ζ̃, D + 2πik/T).  ``tube`` is called once, on an array of t.
+    Raises if G fails the periodicity check.
     """
-    taus = tau0 + period * np.arange(nodes) / nodes
-    ts = np.exp(-taus)
-    g = np.array([tube(float(t)) for t in ts]) * np.exp((ambient_dim - dim) * taus)
-    g_wrap = tube(float(math.exp(-(tau0 + period)))) * math.exp(
-        (ambient_dim - dim) * (tau0 + period))
+    # the nodes and the wrap-around point tau0 + T in one array call
+    taus = tau0 + period * np.arange(nodes + 1) / nodes
+    g = np.asarray(tube(np.exp(-taus)), dtype=float) * np.exp((ambient_dim - dim) * taus)
+    g, g_wrap = g[:-1], g[-1]
+    taus = taus[:-1]
     if abs(g_wrap - g[0]) > 1e-9 * max(abs(g[0]), 1e-300):
         raise ValueError("normalized tube profile is not periodic on [tau0, tau0+T]")
     out: list[tuple[int, complex]] = []

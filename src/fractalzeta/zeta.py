@@ -175,37 +175,12 @@ def cube_generator(side: Numeric = 1) -> MeromorphicForm:
 
 def _collar_form(desc: SetDescriptor, delta: float) -> MeromorphicForm:
     """Distance zeta of the outside collar A_δ \\ Ω for sets whose region
-    boundary is contained in A (coarea integral of the Steiner polynomial)."""
-    lam = desc.scale
+    boundary is contained in A: the coarea integral of its Steiner polynomial
+    Σ_j c_j t^j is Σ_j j·c_j δ^{s-N+j}/(s - (N - j))."""
     n = desc.ambient_dim
-    if desc.kind in ("cantor", "aString", "customString"):
-        return MeromorphicForm((ZetaTerm(2, scale=delta, roots=(0,)),))
-    if desc.kind == "carpet" and n == 2:
-        return MeromorphicForm((
-            ZetaTerm(4 * lam / delta, scale=delta, roots=(1,)),
-            ZetaTerm(2 * math.pi, scale=delta, roots=(0,)),
-        ))
-    if desc.kind == "carpet" and n == 3:
-        return MeromorphicForm((
-            ZetaTerm(6 * lam**2 / delta**2, scale=delta, roots=(2,)),
-            ZetaTerm(6 * math.pi * lam / delta, scale=delta, roots=(1,)),
-            ZetaTerm(4 * math.pi, scale=delta, roots=(0,)),
-        ))
-    if desc.kind == "boxBoundary":
-        if n == 1:
-            return MeromorphicForm((ZetaTerm(2, scale=delta, roots=(0,)),))
-        if n == 2:
-            return MeromorphicForm((
-                ZetaTerm(4 * lam / delta, scale=delta, roots=(1,)),
-                ZetaTerm(8, scale=delta, roots=(0,)),
-            ))
-        if n == 3:
-            return MeromorphicForm((
-                ZetaTerm(6 * lam**2 / delta**2, scale=delta, roots=(2,)),
-                ZetaTerm(24 * lam / delta, scale=delta, roots=(1,)),
-                ZetaTerm(24, scale=delta, roots=(0,)),
-            ))
-    raise ValueError(f"no collar form for kind {desc.kind!r}")
+    return MeromorphicForm(tuple(
+        ZetaTerm(j * c * delta ** (j - n), scale=delta, roots=(n - j,))
+        for j, c in enumerate(geometry._collar_coeffs(desc), start=1)))
 
 
 def catalog_form(desc: SetDescriptor, full: bool = False,
@@ -421,7 +396,7 @@ def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
             / abs(1.0 - q) ** 2
     value = complex(terms.sum())
     err = _EPS * float(mags.sum())
-    if desc.kind == "aString" and desc.J is None:
+    if geometry._truncated(desc):
         rows = len(r) - int(full)
         tail, tail_err = _a_string_tail(desc, s, delta, rows, float(r[-1]))
         value += tail
@@ -558,11 +533,19 @@ def _variance_threshold(desc: SetDescriptor) -> float | None:
     """(N + D)/2, below which d(x, A)^{s-N} has infinite variance on Ω.
 
     E|d^{s-N}|² is the distance zeta at 2 Re s - N, finite only above the
-    dimension D.  Known for ladder sets and the infinite a-string.
+    dimension D, which the hole table gives: log m / log(1/a) with a
+    geometric family, 1/(1 + a) for the infinite a-string, and N - 1 for
+    every other (finite) table.  The flat drum has no holes and no
+    threshold: its tube is flat, so every moment of d^{s-N} is finite.
     """
-    if desc.ladder is None and not (desc.kind == "aString" and desc.J is None):
+    n = desc.ambient_dim
+    if desc.kind == "flatDrum":
         return None
-    return (desc.ambient_dim + desc.similarity_dim) / 2.0
+    if geometry._truncated(desc):
+        return (n + 1.0 / (1.0 + desc.a)) / 2.0
+    ratios = geometry._hole_table(desc, math.inf).ratios
+    dim = n - 1.0 if ratios is None else math.log(ratios[0]) / math.log(1.0 / ratios[1])
+    return (n + dim) / 2.0
 
 
 def _log_distances(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
@@ -582,9 +565,9 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
     closed-form distance inside a cube hole) instead of from the float
     distance oracle; in full mode only the box points outside Ω, whose
     distance is to the boundary of Ω, are located.  Deterministic for a fixed
-    seed.  Raises :class:`NonconvergenceError` for ladder sets and the
-    infinite a-string at Re s <= (N + D)/2, where the variance is infinite
-    and a standard error would mean nothing.
+    seed.  Raises :class:`NonconvergenceError` at Re s <= (N + D)/2, where
+    the variance is infinite and a standard error would mean nothing (every
+    kind but the flat drum, see ``_variance_threshold``).
     """
     if n < 2:
         raise ValueError("need at least two samples")

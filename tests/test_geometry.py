@@ -234,9 +234,12 @@ def test_truncated_a_string_tube_and_volume():
         assert geometry.tube_volume(desc, t) == pytest.approx(expected, rel=1e-13)
 
 
-def test_custom_string_tube_and_total():
-    st_ = FractalString(entries=((Fraction(1, 2), 1), (Fraction(1, 4), 2),
+_CUSTOM = FractalString(entries=((Fraction(1, 2), 1), (Fraction(1, 4), 2),
                                  (Fraction(1, 8), 3)))
+
+
+def test_custom_string_tube_and_total():
+    st_ = _CUSTOM
     assert st_.total == Fraction(1, 2) + Fraction(1, 2) + Fraction(3, 8)
     assert len(st_) == 6
     desc = geometry.string_set(st_)
@@ -333,10 +336,14 @@ def test_flat_drum_rejects_full_tube():
 def test_box_boundary_tube_closed_forms(n):
     desc = geometry.box_boundary(n)
     t = 0.1
-    assert geometry.tube_volume(desc, t) == pytest.approx(
-        1.0 - (1.0 - 2 * t) ** n, rel=1e-14)
-    assert geometry.full_tube_volume(desc, t) == pytest.approx(
-        (1.0 + 2 * t) ** n - (1.0 - 2 * t) ** n, rel=1e-14)
+    inner = 1.0 - (1.0 - 2 * t) ** n
+    assert geometry.tube_volume(desc, t) == pytest.approx(inner, rel=1e-14)
+    # outside the box the tube is its Euclidean Steiner polynomial: faces,
+    # quarter-cylinder edges and rounded corners, not a box of side 1 + 2t
+    collar = {1: 2 * t,
+              2: 4 * t + math.pi * t**2,
+              3: 6 * t + 3 * math.pi * t**2 + 4 * math.pi * t**3 / 3}[n]
+    assert geometry.full_tube_volume(desc, t) == pytest.approx(inner + collar, rel=1e-14)
 
 
 @pytest.mark.parametrize("make", [
@@ -370,13 +377,43 @@ def test_cantor_breakpoints_are_half_gaps():
 
 
 def test_cantor_tube_affine_between_breakpoints():
-    desc = geometry.cantor_set(2, 1 / 3)
-    bps = geometry.tube_breakpoints(desc, 1e-4, 1e-1)
-    for right, left in zip(bps[1:], bps[:-1]):
-        a, b = left * 1.01, right * 0.99
+    # on a line every hole covers min(ℓ, 2t), so each 1-D tube is affine
+    # between consecutive breakpoints
+    cases = [
+        (geometry.cantor_set(2, 1 / 3), 1e-4, 1e-1),
+        (geometry.cantor_set(5, 0.1), 1e-6, 1e-1),
+        (geometry.a_string_set(1.5, 40), 1e-4, 1e-1),
+        (geometry.string_set(_CUSTOM), 1e-3, 1.0),
+        (geometry.box_boundary(1), 0.1, 1.0),
+        (geometry.a_string_set(1.0), 1e-8, 1e-4),
+    ]
+    for desc, tmin, tmax in cases:
+        bps = geometry.tube_breakpoints(desc, tmin, tmax)
+        assert len(bps) >= 1
+        edges = np.concatenate(([tmin], bps, [tmax]))
+        left, right = edges[:-1], edges[1:]
+        a, b = left + 0.1 * (right - left), right - 0.1 * (right - left)
         va, vb = geometry.tube_volume(desc, a), geometry.tube_volume(desc, b)
         vm = geometry.tube_volume(desc, 0.5 * (a + b))
         assert vm == pytest.approx(0.5 * (va + vb), rel=1e-12)
+
+
+def _a_string_count_exact(t: float) -> int:
+    # j* = #{j : 1/(j(j+1)) > 2t} for a = 1, in exact rationals
+    two_t = 2 * Fraction(t)
+    j = math.isqrt(int(1 / two_t)) + 1
+    while j * (j + 1) * two_t >= 1:
+        j -= 1
+    return j
+
+
+def test_a_string_breakpoints_are_every_half_gap():
+    desc = geometry.a_string_set(1.0)
+    tmin, tmax = 1e-12, 2e-12
+    bps = geometry.tube_breakpoints(desc, tmin, tmax)
+    assert len(bps) == _a_string_count_exact(tmin) - _a_string_count_exact(tmax) == 207_107
+    assert np.all((bps > tmin) & (bps < tmax))
+    assert np.all(np.diff(bps) > 0)
 
 
 def test_breakpoints_validation():
@@ -385,6 +422,115 @@ def test_breakpoints_validation():
         geometry.tube_breakpoints(desc, 0.0, 1.0)
     with pytest.raises(ValueError):
         geometry.tube_breakpoints(desc, 0.5, 0.1)
+
+
+# --- every kind against a 40-digit hole-by-hole oracle, scalar and array ------------
+
+
+_EVERY_KIND = {
+    "C(2,1/3)": lambda: geometry.cantor_set(2, 1 / 3),
+    "C(5,1/10)": lambda: geometry.cantor_set(5, 0.1),
+    "carpet2": lambda: geometry.carpet(2),
+    "carpet3": lambda: geometry.carpet(3),
+    "nest K=1000": lambda: geometry.fractal_nest(0.5, 1000),
+    "box1": lambda: geometry.box_boundary(1),
+    "box2": lambda: geometry.box_boundary(2),
+    "box3": lambda: geometry.box_boundary(3),
+    "a-string J=40": lambda: geometry.a_string_set(1.5, 40),
+    "a-string": lambda: geometry.a_string_set(1.0),
+    "custom string": lambda: geometry.string_set(_CUSTOM),
+}
+
+
+def _steiner_mp(n, lam, t):
+    # |B + t·ball| - |B| for the box B = [0, λ]^n
+    return sum(mp.binomial(n, j) * lam ** (n - j) * mp.pi ** (mp.mpf(j) / 2)
+               / mp.gamma(mp.mpf(j) / 2 + 1) * t**j for j in range(1, n + 1))
+
+
+def _nest_mp(desc, lam, t, full):
+    # the tube of the circles as merged radial intervals [r - t, r + t]
+    radii = sorted(lam * mp.power(k, -mp.mpf(desc.a)) for k in range(1, desc.K + 1))
+    area, lo, hi = mp.mpf(0), max(radii[0] - t, 0), radii[0] + t
+    for r in radii[1:]:
+        if r - t > hi:
+            area += hi**2 - lo**2
+            lo = r - t
+        hi = r + t
+    area += (hi if full else min(hi, lam)) ** 2 - lo**2
+    return mp.pi * area
+
+
+def _a_string_mp(a, lam, t):
+    # Σ_j min(λℓ_j, 2t): the j* gaps wider than 2t, then a telescoping tail
+    gap = lambda j: lam * (mp.power(j, -a) - mp.power(j + 1, -a))
+    lo, hi = 0, 2
+    while gap(hi) > 2 * t:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if gap(mid) > 2 * t else (lo, mid)
+    return 2 * t * lo + lam * mp.power(lo + 1, -a)
+
+
+def _tube_mp(desc, t, full):
+    mp.mp.dps = 40
+    t, lam, n = mp.mpf(t), mp.mpf(desc.scale), desc.ambient_dim
+    collar = (2 * t if n == 1 else _steiner_mp(n, lam, t)) if full else 0
+    if desc.kind == "nest":
+        return _nest_mp(desc, lam, t, full)
+    if desc.kind == "aString" and desc.J is None:
+        return _a_string_mp(mp.mpf(desc.a), lam, t) + collar
+    if desc.kind in ("aString", "customString"):
+        if desc.kind == "aString":
+            a = mp.mpf(desc.a)
+            gaps = [(mp.power(j, -a) - mp.power(j + 1, -a), 1) for j in range(1, desc.J + 1)]
+        else:
+            gaps = [(mp.mpf(length.numerator) / length.denominator, mult)
+                    for length, mult in desc.string.entries]
+        return sum(mult * min(lam * length, 2 * t) for length, mult in gaps) + collar
+    cube = lambda g: g**n - max(g - 2 * t, 0) ** n
+    if desc.kind == "boxBoundary":
+        return cube(lam) + collar
+    lad = desc.ladder
+    count, g, a = mp.mpf(lad.first_count), lam * mp.mpf(lad.first_gap), mp.mpf(lad.gap_ratio)
+    vol = mp.mpf(0)
+    while g > 2 * t:
+        vol += count * cube(g)
+        count, g = count * lad.count_ratio, g * a
+    # every narrower hole is covered: a geometric series of ratio m·a^n
+    return vol + count * g**n / (1 - lad.count_ratio * a**n) + collar
+
+
+_ORACLE_TS = np.logspace(-12, 0, 17)
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("name", list(_EVERY_KIND))
+def test_tube_volume_matches_hole_by_hole_oracle(name, lam, full):
+    desc = geometry.scaled(_EVERY_KIND[name](), lam)
+    want = np.array([float(_tube_mp(desc, t, full)) for t in _ORACLE_TS])
+    got = geometry.tube_volume(desc, _ORACLE_TS, full=full)
+    assert np.max(np.abs(got / want - 1)) <= 1e-13
+    scalar = np.array([geometry.tube_volume(desc, t, full=full) for t in _ORACLE_TS])
+    assert np.max(np.abs(scalar / want - 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(_EVERY_KIND) + ["flat drum"])
+def test_tube_volume_array_matches_scalar_calls(name):
+    desc = geometry.flat_drum() if name == "flat drum" else _EVERY_KIND[name]()
+    ts = np.array([[0.0, 1e-7, 3e-3], [0.02, 0.2, 1.5]])
+    for full in (False,) if name == "flat drum" else (False, True):
+        got = geometry.tube_volume(desc, ts, full=full)
+        assert isinstance(got, np.ndarray) and got.shape == ts.shape
+        assert got[0, 0] == 0.0 and geometry.tube_volume(desc, 0.0, full=full) == 0.0
+        # one table at δ = min t against one table per t: equal up to roundoff
+        want = [[geometry.tube_volume(desc, float(t), full=full) for t in row] for row in ts]
+        assert got == pytest.approx(np.array(want), rel=1e-14, abs=0.0)
+        assert isinstance(geometry.tube_volume(desc, 0.2, full=full), float)
+        with pytest.raises(ValueError):
+            geometry.tube_volume(desc, np.array([0.1, -1e-300]), full=full)
 
 
 # --- constructor validation -------------------------------------------------------

@@ -195,6 +195,16 @@ def test_distance_zeta_mc_refuses_infinite_variance(s):
         scaling_check(geometry.carpet(2), 1.7, s, method="mc", n=1000, seed=11)
 
 
+@pytest.mark.parametrize("make, s", [
+    (lambda: geometry.box_boundary(2), 1.3),
+    (lambda: geometry.fractal_nest(0.5, 40), 1.4),
+])
+def test_distance_zeta_mc_refuses_infinite_variance_on_finite_tables(make, s):
+    # a finite hole table has D = N - 1, so (N + D)/2 = 1.5 in the plane
+    with pytest.raises(NonconvergenceError, match="1.5"):
+        distance_zeta_mc(make(), s, n=100_000, seed=11)
+
+
 def test_distance_zeta_mc_refuses_infinite_variance_on_a_string():
     desc = geometry.a_string_set(1.0)  # (N + D)/2 = 0.75
     with pytest.raises(NonconvergenceError, match="0.75"):
@@ -248,6 +258,16 @@ def test_distance_zeta_mc_hole_law_matches_closed(name, s, lam, full):
     assert abs(est.value - ref) < 4.0 * est.std_err
 
 
+@pytest.mark.parametrize("n, s", [(2, 2.5), (3, 3.3)])
+def test_distance_zeta_mc_full_box_boundary_matches_closed(n, s):
+    # outside the box the distance is Euclidean, so its collar has rounded
+    # corners in the sampled distances and in the closed form alike
+    desc = geometry.box_boundary(n)
+    ref = distance_zeta_closed(desc, s, delta=0.6, full=True)
+    est = distance_zeta_mc(desc, s, n=400_000, seed=3, delta=0.6, full=True)
+    assert abs(est.value - ref) < 4.0 * est.std_err
+
+
 def test_distance_zeta_mc_validation():
     desc = geometry.carpet(2)
     with pytest.raises(ValueError):
@@ -293,10 +313,13 @@ def test_scaling_identity_closed_property(lam, sig, tau):
     (lambda: geometry.carpet(2), 2.2 + 1.0j, 1 / 6),
     (lambda: geometry.carpet(3), 3.27 + 3.0j, 1 / 6),
     (lambda: geometry.box_boundary(2), 1.7 + 1.0j, 0.5),
+    (lambda: geometry.a_string_set(1.5, 40), 0.6 + 0.8j, 0.4),
 ])
 def test_functional_equation_residual_small(make, s, delta):
-    # zeta_A(s; delta) = delta^{s-N} |A_delta| + (N - s) tubezeta_A(s; delta)
-    assert functional_eq_residual(make(), s, delta) < 1e-8
+    # zeta_A(s; delta) = delta^{s-N} |A_delta| + (N - s) tubezeta_A(s; delta),
+    # relative and full: the closed form and the hole sum share one collar
+    for full in (False, True):
+        assert functional_eq_residual(make(), s, delta, full=full) < 1e-8
 
 
 def test_relative_forms_require_saturated_delta():
