@@ -153,11 +153,9 @@ def _cmd_dims(args: argparse.Namespace) -> int:
                                "tRange": list(env.t_range)}
     _write_text(_json_artifact(payload), args.output)
     if args.emit_plot_data:
-        xy = []
-        for t in ts:
-            lv = geometry.log_tube_volume(desc, t, full=args.full)
-            xy.append((math.log10(t), lv / math.log(10.0)))
-        _emit_plot_data(args.emit_plot_data, xy)
+        lv = geometry.log_tube_volume(desc, ts, full=args.full)
+        _emit_plot_data(args.emit_plot_data,
+                        [(math.log10(t), v / math.log(10.0)) for t, v in zip(ts, lv.tolist())])
     return 0
 
 

@@ -82,7 +82,7 @@ class FractalString:
         mults = np.array([m for _, m in self.entries], dtype=float)[::-1]
         return lengths, mults
 
-    def geometric_partial(self, s: complex, nmax: int | None = None) -> complex:
+    def geometric_partial(self, s: complex) -> complex:
         """Partial sum Σ mult_j ℓ_j^s over the stored entries."""
         lengths, mults = self._arrays
         logs = np.log(lengths)
@@ -116,13 +116,6 @@ class GapLadder:
 
     def gap(self, k: int) -> float:
         return self.first_gap * self.gap_ratio ** (k - 1)
-
-    def count(self, k: int) -> float:
-        return self.first_count * float(self.count_ratio) ** (k - 1)
-
-    def levels(self, depth: int) -> list[tuple[float, float]]:
-        """First ``depth`` levels as (count, gap) pairs."""
-        return [(self.count(k), self.gap(k)) for k in range(1, depth + 1)]
 
     @property
     def volume_ratio(self) -> float:
@@ -509,8 +502,9 @@ def tube_volume(desc: SetDescriptor, t: float | np.ndarray,
     of the coefficients of the others, and the closed-form volume of the
     geometric family below δ.  The infinite a-string, whose table is
     truncated, is 2t·j*(t) + λ(j*+1)^{-a} with j* = #{ j : λℓ_j > 2t }.  The
-    flat drum has no holes; its value underflows for t below ~1.4e-3 (use
-    ``log_tube_volume`` there).  Raises ``ValueError`` if any t < 0.
+    flat drum has no holes; its value is exp(``log_tube_volume``), which
+    underflows for t below ~1.4e-3 (use the log there).  Raises
+    ``ValueError`` if any t < 0.
     """
     ts = np.asarray(t, dtype=float)
     delta = float(ts.min(initial=math.inf))
@@ -519,10 +513,7 @@ def tube_volume(desc: SetDescriptor, t: float | np.ndarray,
     if delta == 0:
         delta = float(ts.min(initial=math.inf, where=ts > 0))
     if desc.kind == "flatDrum":
-        if full:
-            raise ValueError("the flat drum is a relative construction only")
-        logs = [log_tube_volume(desc, float(x)) for x in ts.ravel()]
-        vols = np.exp(logs).reshape(ts.shape)
+        vols = np.exp(log_tube_volume(desc, ts, full=full))
     elif delta == math.inf:  # every t is 0
         vols = np.zeros(ts.shape)
     elif _truncated(desc):
@@ -602,14 +593,25 @@ def _ladder_log_distances(desc: SetDescriptor, count: int,
             + np.log(-np.expm1(log_u / desc.ambient_dim)))
 
 
-def log_tube_volume(desc: SetDescriptor, t: float, full: bool = False) -> float:
-    """log of the tube volume; exact in log space for the flat drum."""
+def log_tube_volume(desc: SetDescriptor, t: float | np.ndarray,
+                    full: bool = False) -> float | np.ndarray:
+    """log of the tube volume, -inf where it is 0.
+
+    ``t`` is a scalar, giving a float, or an array, giving an array of its
+    shape.  Every kind but the flat drum takes the log of one array
+    ``tube_volume`` call; the flat drum, whose volume underflows for t below
+    ~1.4e-3, integrates each t in log space.
+    """
     if desc.kind == "flatDrum":
         if full:
             raise ValueError("the flat drum is a relative construction only")
-        return _flat_log_tube_unit(t / desc.scale) + 2.0 * math.log(desc.scale)
-    v = tube_volume(desc, t, full=full)
-    return math.log(v) if v > 0 else -math.inf
+        ts = np.asarray(t, dtype=float)
+        logs = np.array([_flat_log_tube_unit(x) for x in (ts / desc.scale).ravel()])
+        logs = logs.reshape(ts.shape) + 2.0 * math.log(desc.scale)
+    else:
+        with np.errstate(divide="ignore"):
+            logs = np.log(tube_volume(desc, t, full=full))
+    return float(logs) if logs.ndim == 0 else logs
 
 
 def saturation_threshold(desc: SetDescriptor) -> float:

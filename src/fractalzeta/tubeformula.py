@@ -147,16 +147,6 @@ def tube_via_tubezeta(desc: SetDescriptor, t: float, window: Window,
 _GEN_SHAPES = {"interval": 1, "square": 2, "cube": 3}
 
 
-def _generator_form(gen_kind: str, side: float) -> MeromorphicForm:
-    if gen_kind == "interval":
-        return zeta.interval_generator(side)
-    if gen_kind == "square":
-        return zeta.square_generator(side)
-    if gen_kind == "cube":
-        return zeta.cube_generator(side)
-    raise ValueError("generator kind must be interval, square, or cube")
-
-
 def spray_tube_oracle(gen_kind: str, side: float, ratios: Sequence[float],
                       t: float, word_cap: int = 10**7) -> float:
     """Exact inner tube volume of the spray by word enumeration.
@@ -209,7 +199,7 @@ def spray_tube(gen_kind: str, side: float, ratios: Sequence[float], t: float,
     if gen_kind not in _GEN_SHAPES:
         raise ValueError("generator kind must be interval, square, or cube")
     n = _GEN_SHAPES[gen_kind]
-    gen_form = _generator_form(gen_kind, side)
+    gen_form = MeromorphicForm((zeta._cube_form(n, side),))
     rs = np.asarray(ratios, dtype=float)
     if float(np.sum(rs**n)) >= 1.0:
         raise ValueError("total spray volume diverges: Σ r^N >= 1")

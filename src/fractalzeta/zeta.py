@@ -12,7 +12,7 @@ functional equation tie the three routes together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -153,24 +153,24 @@ class MeromorphicForm:
 # --- catalog constructors ---------------------------------------------------
 
 
-def _frac_or_float(x: float) -> Numeric:
-    f = Fraction(x).limit_denominator(10**6)
-    return f if abs(float(f) - x) < 1e-15 else x
+def _cube_form(n: int, side: Numeric) -> ZetaTerm:
+    """Relative zeta of (∂C, C) for an N-cube C of side g: N!·2^N (g/2)^s / Π_{j<N} (s - j)."""
+    return ZetaTerm(coeff=math.factorial(n) * 2**n, base=2, scale=side, roots=tuple(range(n)))
 
 
 def interval_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂I, I) for an interval of length ``side``: 2 (side/2)^s / s."""
-    return MeromorphicForm((ZetaTerm(coeff=2, base=2, scale=side, roots=(0,)),))
+    return MeromorphicForm((_cube_form(1, side),))
 
 
 def square_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂Q, Q) for a square: 8 (side/2)^s / (s(s-1))."""
-    return MeromorphicForm((ZetaTerm(coeff=8, base=2, scale=side, roots=(0, 1)),))
+    return MeromorphicForm((_cube_form(2, side),))
 
 
 def cube_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂C, C) for a cube: 48 (side/2)^s / (s(s-1)(s-2))."""
-    return MeromorphicForm((ZetaTerm(coeff=48, base=2, scale=side, roots=(0, 1, 2)),))
+    return MeromorphicForm((_cube_form(3, side),))
 
 
 def _collar_form(desc: SetDescriptor, delta: float) -> MeromorphicForm:
@@ -187,54 +187,29 @@ def catalog_form(desc: SetDescriptor, full: bool = False,
                  delta: float | None = None) -> MeromorphicForm:
     """Closed form of the distance zeta of a catalog descriptor.
 
-    Relative (default): ζ_A(s, Ω).  ``full``: ζ_A(s, A_δ), which requires
-    δ >= the saturation threshold so that Ω ⊆ A_δ; the outside collar is then
-    a Steiner polynomial and the form stays exact.
+    Relative (default): ζ_A(s, Ω), read off the hole table.  Every hole is a
+    cube (an interval on a line) of side g = 2ρ, so each row contributes
+    count·N!·2^N (g/2)^s / Π_{j<N} (s - j); the levels of a ladder's
+    geometric family add up to the lattice factor q^s/(q^s - m), q = 1/a.
+    This covers Cantor sets, carpets, box boundaries in any dimension and
+    finite strings.  The nest (annular holes), the infinite a-string
+    (truncated table) and the flat drum (no holes) have no closed form.
+    ``full``: ζ_A(s, A_δ), which requires δ >= the saturation threshold so
+    that Ω ⊆ A_δ; the outside collar is then a Steiner polynomial and the
+    form stays exact.
     """
-    lam = desc.scale
-    if desc.kind == "cantor":
-        m, a = desc.m, desc.a
-        h = desc.gap_width
-        rel = MeromorphicForm((
-            ZetaTerm(coeff=2 * (m - 1), scale=lam * h / (2.0 * a),
-                     roots=(0,), lattice=(_frac_or_float(1.0 / a), m)),
-        ))
-    elif desc.kind == "carpet":
-        keep = 3**desc.ambient_dim - 1
-        if desc.ambient_dim == 2:
-            rel = MeromorphicForm((
-                ZetaTerm(coeff=8, base=2, scale=lam, roots=(0, 1), lattice=(3, keep)),
-            ))
-        else:
-            rel = MeromorphicForm((
-                ZetaTerm(coeff=48, base=2, scale=lam, roots=(0, 1, 2), lattice=(3, keep)),
-            ))
-    elif desc.kind == "boxBoundary":
-        n = desc.ambient_dim
-        # d(x, ∂box) level sets are inset boxes; coarea on [0, λ/2]
-        if n == 1:
-            rel = MeromorphicForm((ZetaTerm(2, base=2, scale=lam, roots=(0,)),))
-        elif n == 2:
-            rel = square_generator(lam)
-        elif n == 3:
-            rel = cube_generator(lam)
-        else:
-            raise ValueError("box boundary forms cover ambient dimension <= 3")
-    elif desc.kind == "customString":
-        terms = tuple(
-            ZetaTerm(coeff=2 * mult, base=2, scale=lam * l, roots=(0,))
-            for l, mult in desc.string.entries
-        )
-        rel = MeromorphicForm(terms)
-    elif desc.kind == "aString" and desc.J is not None:
-        string = geometry.a_string(desc.a, desc.J)
-        terms = tuple(
-            ZetaTerm(coeff=2 * mult, base=2, scale=lam * l, roots=(0,))
-            for l, mult in string.entries
-        )
-        rel = MeromorphicForm(terms)
-    else:
+    if desc.kind == "nest" or geometry._truncated(desc):
         raise ValueError(f"no closed zeta form for kind {desc.kind!r}")
+    holes = geometry._hole_table(desc, math.inf)
+    terms = [replace(cube := _cube_form(desc.ambient_dim, 2.0 * rho),
+                     coeff=int(count) * cube.coeff)
+             for count, rho in zip(holes.counts.tolist(), holes.radii.tolist())]
+    if holes.ratios is not None:
+        m, a = holes.ratios
+        q = 1.0 / a
+        q = int(q) if q.is_integer() else q  # an int base keeps residues at integers exact
+        terms[-1] = replace(terms[-1], scale=terms[-1].scale * q, lattice=(q, m))
+    rel = MeromorphicForm(tuple(terms))
     if not full:
         return rel
     if delta is None:
@@ -682,35 +657,28 @@ def abscissa_scan(evaluator: Callable[[float], np.ndarray], lo: float, hi: float
 def _hole_integral_coeff(n: int, sigma: float) -> float:
     """∫ over an N-cube hole of side g of d(x, ∂hole)^{sigma-N}, divided by g^sigma.
 
-    Finite iff sigma > N-1; the g^sigma factor is supplied by the caller.
+    Finite iff sigma > N-1, where it is the cube form of side 1 at sigma.
     """
     if sigma <= n - 1:
         return math.inf
-    u = 0.5  # half-width in units of g
-    if n == 1:
-        return 2.0 * u**sigma / sigma
-    if n == 2:
-        return 4.0 * (u ** (sigma - 1) / (sigma - 1) - 2.0 * u**sigma / sigma)
-    if n == 3:
-        return 6.0 * (u ** (sigma - 2) / (sigma - 2)
-                      - 4.0 * u ** (sigma - 1) / (sigma - 1)
-                      + 4.0 * u**sigma / sigma)
-    raise ValueError("hole integrals cover dimension <= 3")
+    return float(_cube_form(n, 1).value(sigma).real)
+
+
+def _ladder_log_blocks(desc: SetDescriptor, sigma: float, levels: int) -> np.ndarray:
+    """log ∫ d(x, A)^{sigma-N} over the holes of each of the first ``levels``
+    ladder levels, count_k·C_N(sigma)·(λg_k)^sigma, in log space: the counts
+    alone overflow past level ~300.  +inf where the hole integral diverges.
+    """
+    lad = desc.ladder
+    coeff = _hole_integral_coeff(desc.ambient_dim, sigma)
+    k = np.arange(levels, dtype=float)
+    return (k * (math.log(lad.count_ratio) + sigma * math.log(lad.gap_ratio))
+            + sigma * math.log(desc.scale * lad.first_gap) + math.log(lad.first_count * coeff))
 
 
 def _ladder_blocks(desc: SetDescriptor, levels: int = 48):
-    ladder = desc.ladder
-    n = desc.ambient_dim
-
     def evaluator(sigma: float) -> np.ndarray:
-        coeff = _hole_integral_coeff(n, sigma)
-        if not math.isfinite(coeff):
-            return np.array([math.inf])
-        k = np.arange(1, levels + 1, dtype=float)
-        counts = ladder.first_count * float(ladder.count_ratio) ** (k - 1)
-        gaps = ladder.first_gap * ladder.gap_ratio ** (k - 1)
-        blocks = counts * coeff * np.exp(sigma * np.log(gaps))
-        return np.cumsum(blocks)
+        return np.cumsum(np.exp(_ladder_log_blocks(desc, sigma, levels)))
 
     return evaluator
 
@@ -758,20 +726,11 @@ def hp_integrability_probe(desc: SetDescriptor, gamma: float,
     if desc.ladder is None:
         raise ValueError("the integrability probe is defined for ladder sets")
     n = desc.ambient_dim
-    lam = desc.scale
-    coeff = _hole_integral_coeff(n, n - gamma)
-    if not math.isfinite(coeff):
+    if not math.isfinite(_hole_integral_coeff(n, n - gamma)):
         return HPReport(gamma=gamma, partials=(math.inf,), convergent=False)
+    partials = [float(np.exp(_ladder_log_blocks(desc, n - gamma, depth)).sum())
+                for depth in sorted(ladder_depths)]
     ladder = desc.ladder
-    partials = []
-    for depth in sorted(ladder_depths):
-        k = np.arange(1, depth + 1, dtype=float)
-        # per-level block in log space: counts alone overflow past depth ~300
-        log_blocks = ((k - 1) * (math.log(ladder.count_ratio)
-                                 + (n - gamma) * math.log(ladder.gap_ratio))
-                      + (n - gamma) * math.log(lam * ladder.first_gap)
-                      + math.log(ladder.first_count * coeff))
-        partials.append(float(np.exp(log_blocks).sum()))
     ratio = ladder.count_ratio * ladder.gap_ratio ** (n - gamma)
     convergent = ratio < 1.0 and math.isfinite(partials[-1])
     return HPReport(gamma=gamma, partials=tuple(partials), convergent=convergent)

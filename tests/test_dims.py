@@ -130,3 +130,44 @@ def test_relative_fit_uses_log_tube_for_flat_drum():
     ts = dims.log_grid(1e-3, 1e-2)
     fit = dims.relative_box_dim_fit(desc, ts)
     assert math.isfinite(fit.dest)
+
+
+_ARRAY_CHECK_KINDS = {
+    "C(2,1/3)": lambda: geometry.cantor_set(2, 1 / 3),
+    "C(5,1/10)": lambda: geometry.cantor_set(5, 1 / 10),
+    "carpet2": lambda: geometry.carpet(2),
+    "carpet3": lambda: geometry.carpet(3),
+    "nest K=4000": lambda: geometry.fractal_nest(0.5, 4000),
+    "a-string": lambda: geometry.a_string_set(1.0),
+    "flat drum": geometry.flat_drum,
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_CHECK_KINDS))
+def test_relative_estimators_match_scalar_tube_calls(name):
+    # the relative variants evaluate the tube in one array call over the grid;
+    # the generic estimators fed a scalar tube must give the same numbers
+    desc = _ARRAY_CHECK_KINDS[name]()
+    flat = name == "flat drum"
+    ts = dims.log_grid(1e-3, 1e-1, 8) if flat else dims.log_grid(1e-9, 1e-2, 32)
+    tube = lambda t: geometry.tube_volume(desc, t)
+    log_tube = (lambda t: geometry.log_tube_volume(desc, t)) if flat else None
+    fit = dims.relative_box_dim_fit(desc, ts)
+    want = dims.box_dim_fit(tube, desc.ambient_dim, ts, log_tube=log_tube)
+    assert fit.points_used == want.points_used
+    assert fit.dest == pytest.approx(want.dest, rel=1e-12)
+    if not flat:  # the flat drum's volumes underflow on any useful window
+        dim = desc.similarity_dim
+        env = dims.relative_content_envelope(desc, dim, ts)
+        want = dims.content_envelope(tube, desc.ambient_dim, dim, ts)
+        assert env.t_range == want.t_range
+        assert (env.lower_est, env.upper_est) == pytest.approx(
+            (want.lower_est, want.upper_est), rel=1e-12)
+    # log_tube_volume takes an array of t, with -inf at t = 0
+    ts = np.array([0.0, 1e-3, 0.02, 0.3])
+    logs = geometry.log_tube_volume(desc, ts)
+    assert isinstance(logs, np.ndarray) and logs.shape == ts.shape
+    assert logs[0] == -math.inf and geometry.log_tube_volume(desc, 0.0) == -math.inf
+    # an absolute error in log V is a relative error in V
+    scalar = [geometry.log_tube_volume(desc, float(t)) for t in ts[1:]]
+    assert logs[1:] == pytest.approx(scalar, rel=0.0, abs=1e-13)

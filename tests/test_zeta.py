@@ -313,6 +313,7 @@ def test_scaling_identity_closed_property(lam, sig, tau):
     (lambda: geometry.carpet(2), 2.2 + 1.0j, 1 / 6),
     (lambda: geometry.carpet(3), 3.27 + 3.0j, 1 / 6),
     (lambda: geometry.box_boundary(2), 1.7 + 1.0j, 0.5),
+    (lambda: geometry.box_boundary(4), 3.5 + 0.7j, 0.6),
     (lambda: geometry.a_string_set(1.5, 40), 0.6 + 0.8j, 0.4),
 ])
 def test_functional_equation_residual_small(make, s, delta):
