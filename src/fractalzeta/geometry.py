@@ -309,6 +309,12 @@ class _Holes(NamedTuple):
     j >= 0 holds counts[-1]·m^j holes of inradius radii[-1]·a^j.  The tube
     volume is Σ_i counts[i]·h_i(min(t, radii[i])) over all rows and levels;
     its kinks are the finite radii, and once they are all passed it is |Ω|.
+
+    Every hole of a finite row is a cube, a gap, an annulus or a disk, and
+    covers h(t) = h(ρ)(1 - (1 - t/ρ)^k) within t of its boundary, k being the
+    degree of h: N for cubes, 1 for gaps and annuli, 2 for the nest's centre
+    disk.  The distance to A of a uniform point of such a hole is therefore
+    ρ(1 - U^{1/k}) with U uniform, which ``_hole_log_distances`` draws.
     """
 
     counts: np.ndarray
@@ -575,22 +581,44 @@ def _flat_log_tube_unit(t: float) -> float:
     return math.log(val) - inv_t
 
 
-def _ladder_log_distances(desc: SetDescriptor, count: int,
-                          rng: np.random.Generator) -> np.ndarray:
+def _hole_log_distances(desc: SetDescriptor, count: int,
+                        rng: np.random.Generator) -> np.ndarray:
     """log d(x, A) for ``count`` uniform points x of Ω, drawn from its exact law.
 
-    A is Lebesgue-null, so a uniform point lies in a hole of level j >= 0 with
-    probability (1 - p)·p^j, p = m·a^N.  The boundary of its cube hole of side
-    g = λ·g₁·a^j lies in A and the interior does not, so the distance is
-    (g/2)(1 - U^{1/N}) with U uniform on [0, 1) (U = 0 is the hole's centre).
-    Drawn in log space, nothing underflows however deep the level.
+    A is Lebesgue-null and each hole's boundary lies in A, so the law is read
+    off the hole table at δ = ∞.  A point lies in row i with probability
+    count_i·h_i(ρ_i)/|Ω|; a one-row table draws no row.  A family head, the
+    only row of a ladder's table, stands for level j >= 0 with probability
+    (1 - p)·p^j, p = m·a^N, and inradius ρ·a^j.  Inside its hole the distance
+    is ρ(1 - U^{1/k}) (see ``_Holes``), U uniform on [0, 1) and U = 0 the
+    hole's centre, so every draw is finite.  The infinite a-string, whose
+    table is truncated, lies in gap j with probability ℓ_j, so
+    P(j >= k) = k^{-a} and j = ⌊V^{-1/a}⌋ for V uniform on (0, 1]; a j past
+    the float range is a point of A, at distance 0.  Drawn in log space,
+    nothing underflows however deep the level.
     """
-    lad = desc.ladder
-    levels = rng.geometric(1.0 - lad.volume_ratio, size=count) - 1
+    if _truncated(desc):
+        with np.errstate(over="ignore", divide="ignore"):
+            j = np.floor((1.0 - rng.random(count)) ** (-1.0 / desc.a))
+            log_r = np.log(desc.scale * _a_string_length(j, desc.a) / 2.0)
+        degree = 1
+    else:
+        holes = _hole_table(desc, math.inf)
+        degrees = holes.coeffs.shape[1] - np.argmax(holes.coeffs[:, ::-1] != 0.0, axis=1)
+        if len(holes.radii) == 1:
+            log_r, degree = math.log(holes.radii[0]), int(degrees[0])
+        else:
+            cum = np.cumsum(_saturated_volumes(holes, desc.ambient_dim))
+            row = np.minimum(np.searchsorted(cum, cum[-1] * rng.random(count), side="right"),
+                             len(cum) - 1)
+            log_r, degree = np.log(holes.radii)[row], degrees[row]
+        if holes.ratios is not None:  # at δ = ∞ the family head is the only row
+            count_ratio, a = holes.ratios
+            levels = rng.geometric(1.0 - count_ratio * a**desc.ambient_dim, size=count) - 1
+            log_r = log_r + levels * math.log(a)
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.random(count))
-    return (math.log(desc.scale * lad.first_gap / 2.0) + levels * math.log(lad.gap_ratio)
-            + np.log(-np.expm1(log_u / desc.ambient_dim)))
+    return log_r + np.log(-np.expm1(log_u / degree))
 
 
 def log_tube_volume(desc: SetDescriptor, t: float | np.ndarray,
@@ -716,20 +744,19 @@ def _a_string_distance_unit(desc: SetDescriptor, x: np.ndarray) -> np.ndarray:
     inside = (x > 0) & (x < 1)
     if inside.any():
         u = x[inside]
-        j = np.floor(u ** (-1.0 / a)).astype(int)
-        j = np.maximum(j, 1)
+        # j stays a float: u^{-1/a} passes 2^63 long before u reaches the
+        # smallest double, and j = ∞ is a point of A
+        with np.errstate(over="ignore"):
+            j = np.maximum(np.floor(u ** (-1.0 / a)), 1.0)
         # u in [(j+1)^-a, j^-a]; guard rounding on both sides
-        hi = j ** (-a * 1.0)
-        bad = u > hi
-        j[bad] -= 1
-        j = np.maximum(j, 1)
-        hi = j.astype(float) ** (-a)
+        j[u > j ** (-a)] -= 1.0
+        j = np.maximum(j, 1.0)
+        j[u < (j + 1.0) ** (-a)] += 1.0
+        hi = j ** (-a)
         lo = (j + 1.0) ** (-a)
-        below = u < lo
-        j[below] += 1
-        hi = j.astype(float) ** (-a)
-        lo = (j + 1.0) ** (-a)
-        d[inside] = np.minimum(u - lo, hi - u)
+        # u left outside [lo, hi] (j + 1 rounding to j, or the two powers to
+        # one float) lies within rounding of A: its distance is below resolution
+        d[inside] = np.maximum(np.minimum(u - lo, hi - u), 0.0)
         # points below the accumulation point 0 never occur (0 is in the set)
     return d
 

@@ -441,67 +441,31 @@ def tube_zeta_residue(desc: SetDescriptor, dim: float, delta: float,
 # Monte Carlo
 
 
-def _region_sampler(desc: SetDescriptor):
-    """Uniform sampler for Ω and its exact volume."""
-    lam = desc.scale
-    n = desc.ambient_dim
-    vol = region_volume(desc)
-    if desc.kind == "boxBoundary":
-        def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-            return lam * rng.random((count, n))
-        return sample, vol
-    if desc.kind == "aString":
-        if desc.J is not None:
-            raise ValueError("Monte Carlo sampling uses the infinite a-string")
-        def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-            return lam * rng.random((count, 1))
-        return sample, vol
-    if desc.kind == "customString":
-        total = float(desc.string.total)
-        def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-            return lam * total * rng.random((count, 1))
-        return sample, vol
+def _region_shape(desc: SetDescriptor) -> tuple[float, bool]:
+    """Ω as ``(size, disk)``: the disk of radius λ for the nest, else the box
+    [0, size]^N, size = λ.  A string on a line fills an interval of length
+    |Ω|, placed at 0 because the hole law does not see where it sits.
+    """
     if desc.kind == "nest":
-        def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-            r = lam * np.sqrt(rng.random(count))
-            th = 2.0 * math.pi * rng.random(count)
-            return np.column_stack((r * np.cos(th), r * np.sin(th)))
-        return sample, vol
-    if desc.kind == "flatDrum":
-        emax = math.exp(-1.0)
-        def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-            out = np.empty((0, 2))
-            while len(out) < count:
-                cand = rng.random((2 * count, 2))
-                cand[:, 1] *= emax
-                keep = cand[:, 1] < np.exp(-1.0 / np.clip(cand[:, 0], 1e-300, None))
-                out = np.vstack((out, cand[keep]))
-            return lam * out[:count]
-        return sample, vol
-    raise ValueError(f"no region sampler for kind {desc.kind!r}")
+        return desc.scale, True
+    if desc.ambient_dim == 1 and desc.ladder is None:
+        return region_volume(desc), False
+    return desc.scale, False
 
 
-def _box_sampler(desc: SetDescriptor, delta: float):
-    """Uniform sampler on a box (or square) containing A_δ, with its volume."""
-    lam = desc.scale
-    n = desc.ambient_dim
-    if desc.kind in ("cantor", "carpet", "aString", "customString", "boxBoundary"):
-        if desc.kind == "customString":
-            side = lam * float(desc.string.total)
-        else:
-            side = lam
-        lo, hi = -delta, side + delta
-        vol = (hi - lo) ** n
-        def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-            return lo + (hi - lo) * rng.random((count, n))
-        return sample, vol
-    if desc.kind == "nest":
-        half = lam + delta
-        vol = (2.0 * half) ** 2
-        def sample(count: int, rng: np.random.Generator) -> np.ndarray:
-            return -half + 2.0 * half * rng.random((count, 2))
-        return sample, vol
-    raise ValueError(f"no bounding box sampler for kind {desc.kind!r}")
+def _flat_drum_log_distances(desc: SetDescriptor, count: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """log |x| for ``count`` uniform points x of the cusp, which has no holes:
+    A = {0}, so d(x, A) = |x|.  Rejection sampling from its bounding box."""
+    emax = math.exp(-1.0)
+    out = np.empty((0, 2))
+    while len(out) < count:
+        cand = rng.random((2 * count, 2))
+        cand[:, 1] *= emax
+        keep = cand[:, 1] < np.exp(-1.0 / np.clip(cand[:, 0], 1e-300, None))
+        out = np.vstack((out, cand[keep]))
+    with np.errstate(divide="ignore"):
+        return np.log(desc.scale * np.linalg.norm(out[:count], axis=1))
 
 
 def _variance_threshold(desc: SetDescriptor) -> float | None:
@@ -523,26 +487,21 @@ def _variance_threshold(desc: SetDescriptor) -> float | None:
     return (n + dim) / 2.0
 
 
-def _log_distances(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
-    """log d(x, A) from the distance oracle, -inf for points of A."""
-    with np.errstate(divide="ignore"):
-        return np.log(geometry.distance_many(desc, pts))
-
-
 def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
                      delta: float | None = None, full: bool = False) -> ZetaEstimate:
     """Monte Carlo estimate of the distance zeta with standard error.
 
-    Relative mode averages d(x,A)^{s-N} over n uniform points of Ω; full mode
-    needs ``delta`` and averages d^{s-N}·[d <= δ] over n uniform points of a
-    box containing A_δ.  For Cantor sets and carpets the distance of a point
-    of Ω is drawn exactly from its law (a geometric hole level, then a
-    closed-form distance inside a cube hole) instead of from the float
-    distance oracle; in full mode only the box points outside Ω, whose
-    distance is to the boundary of Ω, are located.  Deterministic for a fixed
-    seed.  Raises :class:`NonconvergenceError` at Re s <= (N + D)/2, where
-    the variance is infinite and a standard error would mean nothing (every
-    kind but the flat drum, see ``_variance_threshold``).
+    Relative mode averages d(x,A)^{s-N} over n uniform points of Ω and scales
+    by |Ω|; full mode needs ``delta`` and averages d^{s-N}·[d <= δ] over n
+    uniform points of a box containing A_δ.  The distance of a point of Ω is
+    drawn from its exact law, read off the hole table (a hole, then a
+    closed-form distance inside it; see ``geometry._hole_log_distances``), so
+    no distance oracle is called.  In full mode ∂Ω lies in A, so a box point
+    outside Ω is at its distance to Ω.  The flat drum has no holes: it samples
+    points of its cusp, relative mode only.  Deterministic for a fixed seed.
+    Raises :class:`NonconvergenceError` at Re s <= (N + D)/2, where the
+    variance is infinite and a standard error would mean nothing (every kind
+    but the flat drum, see ``_variance_threshold``).
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -555,25 +514,25 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
         raise NonconvergenceError(
             f"Monte Carlo variance is infinite for Re s <= (N + D)/2 = {threshold:.6g}")
     rng = np.random.default_rng(seed)
-    if full:
-        sample, scale = _box_sampler(desc, delta)
-        pts = sample(n, rng)
-        if desc.ladder is not None:
-            # ∂Ω lies in A, so a point outside Ω is at its distance to Ω and a
-            # point inside Ω takes a draw of the hole law
-            gap = np.linalg.norm(pts - np.clip(pts, 0.0, desc.scale), axis=1)
-            inside = gap == 0.0
-            log_d = np.empty(n)
-            log_d[~inside] = np.log(gap[~inside])
-            log_d[inside] = geometry._ladder_log_distances(desc, int(inside.sum()), rng)
+    if desc.kind == "flatDrum":
+        if full:
+            raise ValueError("the flat drum is a relative construction only")
+        log_d, scale = _flat_drum_log_distances(desc, n, rng), region_volume(desc)
+    elif full:
+        size, disk = _region_shape(desc)
+        lo, hi = (-size - delta, size + delta) if disk else (-delta, size + delta)
+        scale = (hi - lo) ** ndim
+        pts = lo + (hi - lo) * rng.random((n, ndim))
+        if disk:
+            gap = np.maximum(np.linalg.norm(pts, axis=1) - size, 0.0)
         else:
-            log_d = _log_distances(desc, pts)
-    elif desc.ladder is not None:
-        log_d = geometry._ladder_log_distances(desc, n, rng)
-        scale = region_volume(desc)
+            gap = np.linalg.norm(pts - np.clip(pts, 0.0, size), axis=1)
+        inside = gap == 0.0
+        log_d = np.empty(n)
+        log_d[~inside] = np.log(gap[~inside])
+        log_d[inside] = geometry._hole_log_distances(desc, int(inside.sum()), rng)
     else:
-        sample, scale = _region_sampler(desc)
-        log_d = _log_distances(desc, sample(n, rng))
+        log_d, scale = geometry._hole_log_distances(desc, n, rng), region_volume(desc)
     keep = np.isfinite(log_d)
     if full:
         keep &= log_d <= math.log(delta)
@@ -686,7 +645,7 @@ def _ladder_blocks(desc: SetDescriptor, levels: int = 48):
 def _string_blocks(desc: SetDescriptor, imax: int = 21):
     a = desc.a
     j = np.arange(1, 2**imax, dtype=float)
-    logl = -a * np.log(j) + np.log(-np.expm1(-a * np.log1p(1.0 / j)))
+    logl = np.log(geometry._a_string_length(j, a))
     ends = 2 ** np.arange(1, imax + 1) - 2  # partial sums over j < 2^i
 
     def evaluator(sigma: float) -> np.ndarray:

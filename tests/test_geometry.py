@@ -223,6 +223,14 @@ def test_a_string_distance_matches_point_set():
     assert np.max(np.abs(got - ref)) == 0.0
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.0, 2.0, 3.0])
+def test_a_string_distance_never_negative(a):
+    # 0 lies in A, so 0 <= d(x, A) <= x, also where j = ⌊x^{-1/a}⌋ passes 2^63
+    xs = np.concatenate((10.0 ** -np.arange(0.5, 300.0), np.linspace(0.0, 1.0, 10_001)))
+    d = geometry.distance_many(geometry.a_string_set(a), xs)
+    assert np.all(d >= 0.0) and np.all(d <= xs)
+
+
 def test_truncated_a_string_tube_and_volume():
     a, bigj = 1.5, 40
     desc = geometry.a_string_set(a, bigj)

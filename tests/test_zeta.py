@@ -5,6 +5,7 @@ no code with them, against mpmath coarea integrals for the generators, and
 against each other through the functional equation and scaling identities.
 """
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -222,12 +223,23 @@ def test_distance_zeta_mc_seed_reproducible():
     assert c.value != a.value
 
 
+_CUSTOM = geometry.FractalString(entries=((Fraction(1, 2), 1), (Fraction(1, 4), 2),
+                                          (Fraction(1, 8), 3)))
+
 _HOLE_LAW_SETS = {
     "cantor": lambda: geometry.cantor_set(2, 1 / 3),
     "C(5,1/10)": lambda: geometry.cantor_set(5, 0.1),
     "carpet2": lambda: geometry.carpet(2),
     "carpet3": lambda: geometry.carpet(3),
     "carpet2 x1.7": lambda: geometry.scaled(geometry.carpet(2), 1.7),
+    "box boundary 3": lambda: geometry.box_boundary(3),
+    "nest": lambda: geometry.fractal_nest(0.5, 40),
+    "nest x1.7": lambda: geometry.scaled(geometry.fractal_nest(0.5, 40), 1.7),
+    "a-string(1.5,40)": lambda: geometry.a_string_set(1.5, 40),
+    "custom string": lambda: geometry.string_set(_CUSTOM),
+    "a-string 0.5": lambda: geometry.a_string_set(0.5),
+    "a-string 1": lambda: geometry.a_string_set(1.0),
+    "a-string 2 x1.7": lambda: geometry.scaled(geometry.a_string_set(2.0), 1.7),
 }
 
 
@@ -236,7 +248,7 @@ def test_ladder_hole_law_matches_tube_volume(name):
     # P(d(x, A) <= t) for uniform x in Ω is |A_t ∩ Ω| / |Ω|
     desc = _HOLE_LAW_SETS[name]()
     n = 200_000
-    log_d = geometry._ladder_log_distances(desc, n, np.random.default_rng(3))
+    log_d = geometry._hole_log_distances(desc, n, np.random.default_rng(3))
     assert log_d.shape == (n,) and np.all(np.isfinite(log_d))
     ts = [0.1, 0.02, 1e-6]
     if name == "carpet2":
@@ -247,7 +259,12 @@ def test_ladder_hole_law_matches_tube_volume(name):
         assert abs(hits - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12, (t, hits, p)
 
 
-@pytest.mark.parametrize("name, s", [("cantor", 0.9 + 1.0j), ("carpet2", 1.97 - 0.5j)])
+@pytest.mark.parametrize("name, s", [
+    ("cantor", 0.9 + 1.0j),
+    ("carpet2", 1.97 - 0.5j),
+    ("custom string", 0.7 + 0.4j),
+    ("a-string(1.5,40)", 0.8 + 0.3j),
+])
 @pytest.mark.parametrize("lam", [1.0, 1.7])
 @pytest.mark.parametrize("full", [False, True])
 def test_distance_zeta_mc_hole_law_matches_closed(name, s, lam, full):
@@ -255,6 +272,23 @@ def test_distance_zeta_mc_hole_law_matches_closed(name, s, lam, full):
     delta = 0.45 * lam if full else None
     ref = distance_zeta_closed(desc, s, delta=delta, full=full)
     est = distance_zeta_mc(desc, s, n=200_000, seed=13, delta=delta, full=full)
+    assert abs(est.value - ref) < 4.0 * est.std_err
+
+
+@pytest.mark.parametrize("name, s", [
+    ("nest", 1.7 + 0.5j),
+    ("nest x1.7", 1.7 + 0.5j),
+    ("a-string 0.5", 0.95 + 0.4j),
+    ("a-string 1", 0.9 + 0.4j),
+    ("a-string 2 x1.7", 0.8 + 0.4j),
+])
+def test_distance_zeta_mc_matches_functional_equation(name, s):
+    # no closed form: ζ_A(s) = δ^{s-N}|Ω| + (N - s) ζ̃_A(s; δ) at a saturated δ = λ
+    desc = _HOLE_LAW_SETS[name]()
+    n, delta = desc.ambient_dim, desc.scale
+    ref = (np.exp((s - n) * math.log(delta)) * geometry.region_volume(desc)
+           + (n - s) * tube_zeta_quad(desc, s, delta).value)
+    est = distance_zeta_mc(desc, s, n=200_000, seed=13)
     assert abs(est.value - ref) < 4.0 * est.std_err
 
 
