@@ -382,7 +382,8 @@ def run_criterion(cid: str) -> CriterionResult:
                 passed, detail = func()
             except Exception as exc:  # a crash is a failure, not an error
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            return CriterionResult(cid=c, title=title, passed=passed,
+            # some criteria return a numpy.bool, which json cannot write
+            return CriterionResult(cid=c, title=title, passed=bool(passed),
                                    detail=detail, seconds=time.perf_counter() - start)
     raise KeyError(f"unknown criterion {cid!r}")
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .zeta import MeromorphicForm, ZetaTerm
+from .zeta import MeromorphicForm, NonconvergenceError, ZetaTerm
 
 __all__ = [
     "Window",
@@ -283,13 +283,199 @@ def _newton_polish(sites: np.ndarray, ratios: np.ndarray, iters: int = 80) -> np
     return z
 
 
-def spray_dims(ratios: Sequence[float], w: Window,
-               seed_sigma_step: float = 0.05, seed_tau_step: float = 0.2) -> list[PoleDatum]:
+# The nonlattice roots are counted strip by strip with the argument principle
+# (Delves & Lyness, Math. Comp. 21, 1967) on a rectangle that reaches _MARGIN
+# past the window, then found by Newton from seeds inside the strips that
+# hold any.
+_STRIP = 1.0      # strip height
+_MARGIN = 0.05    # reach of the counting rectangle past the window; edge shift
+_NEAR = 1e-6      # an edge whose |f| / max |f'| falls below this is moved
+_EDGE_SHIFTS = (0.0, 0.03, 0.06, 0.09, 0.12, 0.15)
+_SEED_STEP = 0.5  # seed grid spacing, halved on each refinement
+_SEED_LEVELS = 5
+_EPS = 2.0 ** -52  # machine epsilon of a double
+
+
+def _scaling_f(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """f(z) = 1 − Σ_j r_j^z on an array of z."""
+    return 1.0 - np.exp(np.multiply.outer(z, logs)).sum(axis=-1)
+
+
+def _rounding(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Bound on the floating-point error of ``_scaling_f`` at z: each r_j^z
+    carries a relative error of a few ulps of its exponent z ln r_j."""
+    pw = np.exp(np.multiply.outer(z.real, logs))
+    return 4.0 * _EPS * (1.0 + (pw * (np.multiply.outer(np.abs(z), -logs) + 2.0)).sum(axis=-1))
+
+
+def _split(za: np.ndarray, zb: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut each segment za[i] → zb[i] into k[i] equal pieces; returns the pieces
+    and, for each, the index of the segment it came from."""
+    parent = np.repeat(np.arange(len(k)), k)
+    j = np.arange(len(parent)) - np.repeat(np.cumsum(k) - k, k)
+    kk = k[parent]
+    d = (zb - za)[parent]
+    start = za[parent] + d * (j / kk)
+    end = np.where(j + 1 == kk, zb[parent], za[parent] + d * ((j + 1) / kk))
+    return start, end, parent
+
+
+def _arg_changes(z0: np.ndarray, z1: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Certified change of arg f along each segment z0[i] → z1[i], or nan where
+    the segment passes within about ``_NEAR`` of a zero.
+
+    A piece [za, zb] is accepted once its length times the closed-form bound
+    |f'(z)| <= Σ_j r_j^{Re z} ln(1/r_j) (taken at the piece's smallest Re z)
+    is below |f| at one of its ends, less the rounding allowance.  f then
+    stays in the open disk about f(end) of radius |f(end)|, so it has no zero
+    on the piece and its arg changes by the principal arg of f(zb)/f(za).
+    Other pieces are cut in proportion to how far they miss.
+    """
+    total = np.zeros(len(z0))
+    near = np.zeros(len(z0), dtype=bool)
+    za, zb, owner = _split(z0, z1, np.maximum(1, np.ceil(np.abs(z1 - z0) / 0.25)).astype(int))
+    for _ in range(60):
+        fa, fb = _scaling_f(za, logs), _scaling_f(zb, logs)
+        slope = np.exp(np.multiply.outer(np.minimum(za.real, zb.real), logs)) @ -logs
+        room = (np.maximum(np.abs(fa), np.abs(fb))
+                - np.maximum(_rounding(za, logs), _rounding(zb, logs)))
+        length = np.abs(zb - za)
+        ok = length * slope < room
+        np.add.at(total, owner[ok], np.angle(fb[ok] / fa[ok]))
+        near[owner[~ok & (room < _NEAR * slope)]] = True
+        rest = ~ok & ~near[owner]
+        if not rest.any():
+            break
+        k = np.clip(np.ceil(1.25 * length[rest] * slope[rest] / room[rest]), 2, 1024).astype(int)
+        za, zb, parent = _split(za[rest], zb[rest], k)
+        owner = owner[rest][parent]
+    else:
+        near[owner] = True
+    total[near] = np.nan
+    return total
+
+
+def _count_strips(logs: np.ndarray, w: Window) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Zero counts of f = 1 − Σ r_j^s in strips covering the window's upper half.
+
+    Returns (a, b, tops, counts).  Strip 0 is [a, b] × [−tops[0], tops[0]],
+    symmetric about the real axis; strip k >= 1 is [a, b] × [tops[k−1], tops[k]].
+    The strips reach ``_MARGIN`` past the window on every side.  A horizontal
+    edge that passes near a zero is moved up; a vertical one, outward.
+    """
+    a, b = w.sigma_left - _MARGIN, w.sigma_right + _MARGIN
+    top = w.tau_max + _MARGIN
+    if top <= _STRIP:
+        base = np.array([top])
+    else:
+        base = np.linspace(0.5 * _STRIP, top, int(math.ceil((top - 0.5 * _STRIP) / _STRIP)) + 1)
+    for _ in range(len(_EDGE_SHIFTS)):  # as many outward moves of a vertical edge
+        tops = base.copy()
+        horiz = np.full(len(base), np.nan)
+        for shift in _EDGE_SHIFTS:
+            bad = np.isnan(horiz)
+            if not bad.any():
+                break
+            tops[bad] = base[bad] + shift
+            horiz[bad] = _arg_changes(a + 1j * tops[bad], b + 1j * tops[bad], logs)
+        if np.isnan(horiz).any():
+            raise NonconvergenceError(
+                f"every strip edge near Im s = {base[np.isnan(horiz)][0]:.6g} passes next to "
+                f"a zero of 1 - sum r_j^s")
+        lows = np.concatenate(([-tops[0]], tops[:-1]))
+        left = _arg_changes(a + 1j * lows, a + 1j * tops, logs)
+        right = _arg_changes(b + 1j * lows, b + 1j * tops, logs)
+        if np.isnan(left).any() or np.isnan(right).any():
+            if np.isnan(left).any():
+                a -= _MARGIN
+            if np.isnan(right).any():
+                b += _MARGIN
+            continue
+        # counterclockwise: bottom edge (strip 0's is the mirror of its top),
+        # right edge up, top edge back, left edge down
+        below = np.concatenate(([-horiz[0]], horiz[:-1]))
+        turns = (below + right - horiz - left) / (2.0 * math.pi)
+        counts = np.rint(turns).astype(int)
+        if np.any(np.abs(turns - counts) > 1e-6) or np.any(counts < 0):
+            raise NonconvergenceError(f"noninteger winding {turns[np.abs(turns - counts) > 1e-6]}")
+        return a, b, tops, counts
+    raise NonconvergenceError(
+        f"the counting rectangle's vertical edges near Re s = {a:.6g}, {b:.6g} "
+        f"pass next to zeros of 1 - sum r_j^s")
+
+
+def _seed_roots(rs: np.ndarray, a: float, b: float, lows: np.ndarray, highs: np.ndarray,
+                step: float) -> np.ndarray:
+    """Roots that Newton reaches from the centres of a grid of cells about
+    ``step`` wide over each rectangle [a, b] × [lows[k], highs[k]], folded
+    into the upper half plane (real ones made exactly real)."""
+    ns = int(math.ceil((b - a) / step))
+    sig = a + (np.arange(ns) + 0.5) * (b - a) / ns
+    seeds = []
+    for lo, hi in zip(lows, highs):
+        nt = int(math.ceil((hi - lo) / step))
+        tau = lo + (np.arange(nt) + 0.5) * (hi - lo) / nt
+        seeds.append((sig[:, None] + 1j * tau[None, :]).ravel())
+    z = _newton_polish(np.concatenate(seeds), rs, iters=40)
+    logs = np.log(rs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(_scaling_f(z, logs))
+        z = z[np.isfinite(resid) & (resid < 1e-12 + _rounding(z, logs))]
+    z = np.where(z.imag < 0, z.conjugate(), z)
+    return np.where(np.abs(z.imag) < 1e-10, z.real + 0j, z)
+
+
+def _strip_name(a: float, b: float, tops: np.ndarray, k: int) -> str:
+    lo = -tops[0] if k == 0 else tops[k - 1]
+    return f"Re s in [{a:.6g}, {b:.6g}], Im s in [{lo:.6g}, {tops[k]:.6g}]"
+
+
+def _nonlattice_roots(rs: np.ndarray, w: Window) -> list[complex]:
+    """Every zero of 1 − Σ r_j^s in the counting rectangle around the window,
+    conjugate pairs included, or :class:`NonconvergenceError`."""
+    a, b, tops, counts = _count_strips(np.log(rs), w)
+    lows = np.concatenate(([0.0], tops[:-1]))  # seed upper halves; mirror below
+    found: list[list[complex]] = [[] for _ in counts]
+    got = np.zeros(len(counts), dtype=int)
+    todo = np.flatnonzero(counts)
+    step = _SEED_STEP
+    for _ in range(_SEED_LEVELS):
+        if not todo.size:
+            break
+        z = _seed_roots(rs, a, b, lows[todo], tops[todo], step)
+        z = z[(z.real >= a) & (z.real <= b) & (z.imag < tops[-1])]
+        for zz, k in zip(z, np.searchsorted(tops, z.imag, side="right")):
+            if all(abs(zz - u) > 1e-8 for u in found[k]):
+                found[k].append(zz)
+                got[k] += 2 if k == 0 and zz.imag > 0 else 1  # strip 0 counts both of a pair
+        over = np.flatnonzero(got > counts)
+        if over.size:
+            k = over[0]
+            raise NonconvergenceError(
+                f"{got[k]} distinct roots but {counts[k]} zeros counted in the strip "
+                f"{_strip_name(a, b, tops, k)}")
+        todo = np.flatnonzero(got < counts)
+        step /= 2.0
+    if todo.size:
+        k = todo[0]
+        raise NonconvergenceError(
+            f"found {got[k]} of the {counts[k]} zeros of 1 - sum r_j^s counted in the strip "
+            f"{_strip_name(a, b, tops, k)}")
+    upper = [u for us in found for u in us]
+    return upper + [u.conjugate() for u in upper if u.imag > 0]
+
+
+def spray_dims(ratios: Sequence[float], w: Window) -> list[PoleDatum]:
     """Solutions of Σ_j r_j^ω = 1 in the window, as poles of 1/(1 − Σ r_j^s).
 
     Lattice ratio lists (all powers of a common base) are solved exactly
-    through the companion polynomial; otherwise a seeded Newton sweep finds
-    the roots.  Residues are 1/Σ_j r_j^ω ln(1/r_j).
+    through the companion polynomial.  Otherwise the zeros are counted by the
+    argument principle, in strips about one unit tall over a rectangle a
+    little larger than the window, with a certified bound on |f'| deciding
+    how finely each edge is sampled; Newton then runs only in strips that
+    hold zeros, from grids refined until each strip's count is met.  A strip
+    whose roots cannot all be found raises :class:`NonconvergenceError`, so
+    a root is never dropped silently.  Residues are 1/Σ_j r_j^ω ln(1/r_j).
     """
     rs = np.asarray(sorted(ratios, reverse=True), dtype=float)
     if np.any(rs <= 0) or np.any(rs >= 1):
@@ -321,27 +507,7 @@ def spray_dims(ratios: Sequence[float], w: Window,
             for nn in range(nmin, nmax + 1):
                 roots.append(complex(sigma, base_tau + spacing * nn))
     else:
-        sig = np.arange(w.sigma_left - 0.2, w.sigma_right + 0.2 + 1e-9, seed_sigma_step)
-        tau = np.arange(0.0, w.tau_max + 1.0 + 1e-9, seed_tau_step)
-        seeds = (sig[:, None] + 1j * tau[None, :]).ravel()
-        cand = _newton_polish(seeds, rs)
-        logs = np.log(rs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            fvals = np.abs(np.exp(np.multiply.outer(cand, logs)).sum(axis=-1) - 1.0)
-        cand = cand[np.isfinite(fvals) & (fvals < 1e-12)]
-        kept: list[complex] = []
-        for z in sorted(cand, key=lambda z: (round(z.real, 8), round(z.imag, 8))):
-            if abs(z.imag) < 1e-10:
-                z = complex(z.real, 0.0)
-            if z.imag < -1e-10:
-                continue  # keep upper half; mirror below
-            if all(abs(z - u) > 1e-8 for u in kept):
-                kept.append(z)
-        roots = []
-        for z in kept:
-            roots.append(z)
-            if z.imag > 1e-10:
-                roots.append(z.conjugate())
+        roots = _nonlattice_roots(rs, w)
     # polish and package
     arr = _newton_polish(np.array(roots, dtype=complex), rs, iters=40)
     logs = np.log(1.0 / rs)

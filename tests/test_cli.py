@@ -300,6 +300,15 @@ def test_verify_json_artifact(tmp_path, schema):
     assert all(r["passed"] for r in art["results"])
 
 
+def test_verify_json_to_stdout_with_numpy_verdicts(capsys, schema):
+    # the flat-drum criterion computes its verdict with numpy
+    assert run(["verify", "--suite", "flat-drum", "--format", "json"]) == 0
+    art = json.loads(capsys.readouterr().out)
+    jsonschema.validate(art, schema)
+    assert art["passed"] is True
+    assert all(r["passed"] is True for r in art["results"])
+
+
 def test_verify_unknown_suite(capsys):
     assert run(["verify", "--suite", "nonsense"]) == 2
     assert "error:" in capsys.readouterr().err

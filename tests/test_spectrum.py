@@ -178,6 +178,100 @@ def test_spray_dims_roots_satisfy_moran_equation():
             assert abs(val - 1.0) < 1e-10
 
 
+def _count_zeros(ratios, sl, sr, tau):
+    """Zeros of 1 - sum r^s in [sl, sr] x [-tau, tau], by the winding of f
+    along the boundary; a sample step that turns f by 0.3 rad or more is
+    halved, and the test fails rather than guess when f nearly vanishes."""
+    logs = np.log(np.asarray(ratios, dtype=float))
+    corners = [complex(sl, -tau), complex(sr, -tau), complex(sr, tau), complex(sl, tau)]
+    path = np.concatenate([np.linspace(p, q, int(abs(q - p) / 0.01) + 2)[:-1]
+                           for p, q in zip(corners, corners[1:] + corners[:1])] + [corners[:1]])
+    for _ in range(40):
+        f = 1.0 - np.exp(np.multiply.outer(path, logs)).sum(axis=-1)
+        assert np.abs(f).min() > 1e-9, "a zero lies on the boundary"
+        turn = np.angle(f[1:] / f[:-1])
+        coarse = np.abs(turn) >= 0.3
+        if not coarse.any():
+            return round(turn.sum() / (2.0 * math.pi))
+        path = np.insert(path, np.flatnonzero(coarse) + 1, 0.5 * (path[:-1] + path[1:])[coarse])
+    raise AssertionError("boundary sampling did not settle")
+
+
+@pytest.mark.parametrize("ratios, count", [((0.5, 1 / 3), 71), ((0.5, 0.2), 103),
+                                           ((0.4, 0.3, 0.2), 91)])
+def test_spray_dims_nonlattice_finds_every_counted_root(ratios, count):
+    w = Window(-1.0, 0.99, 200.0)
+    ps = spray_dims(ratios, w)
+    assert _count_zeros(ratios, -1.0, 0.99, 200.0) == count
+    assert len(ps) == count
+    got = np.array([p.omega for p in ps])
+    assert all(w.contains(z) for z in got)
+    assert max(abs(sum(r ** z for r in ratios) - 1.0) for z in got) < 1e-10
+    # the set is closed under conjugation and has no repeats
+    assert all(np.min(np.abs(got - z.conjugate())) < 1e-12 for z in got)
+    assert min(abs(x - y) for i, x in enumerate(got) for y in got[:i]) > 1e-6
+
+
+def _root_above(ratios, tau):
+    return min((p.omega for p in spray_dims(ratios, Window(-1.0, 0.99, tau + 5.0))
+                if p.omega.imag > tau), key=lambda z: z.imag)
+
+
+def test_spray_dims_keeps_root_on_window_top_edge():
+    z = _root_above((0.5, 1 / 3), 10.0)
+    ps = spray_dims((0.5, 1 / 3), Window(-1.0, 0.99, z.imag))
+    assert any(abs(p.omega - z) < 1e-9 for p in ps)
+    assert any(abs(p.omega - z.conjugate()) < 1e-9 for p in ps)
+
+
+def test_spray_dims_keeps_dimension_on_window_right_edge():
+    ratios = (0.5, 1 / 3)
+    dim = brentq(lambda x: 0.5 ** x + (1.0 / 3.0) ** x - 1.0, 0.5, 1.0, xtol=1e-15)
+    for w in (Window(0.2, dim, 0.5), Window(-1.0, dim, 30.0)):
+        ps = spray_dims(ratios, w)
+        assert any(abs(p.omega - dim) < 1e-12 for p in ps)
+        assert len(ps) == _count_zeros(ratios, -1.0 if w.tau_max > 1 else 0.2, dim + 1e-3,
+                                       w.tau_max)
+
+
+@pytest.mark.parametrize("where", ["top", "left", "right", "inner"])
+def test_spray_dims_moves_counting_edges_off_roots(where):
+    # place a root exactly on an edge of the rectangle the zeros are counted
+    # on, which reaches spectrum._MARGIN past the window; the count still
+    # matches the independent one
+    ratios = (0.5, 1 / 3)
+    z = _root_above(ratios, 10.0)
+    m = spectrum._MARGIN
+    sl, sr, tau = -1.0, 0.99, 30.0
+    if where == "top":
+        tau = z.imag - m
+    elif where == "left":
+        sl = z.real + m
+    elif where == "right":
+        sr = z.real - m
+    else:  # a strip boundary 0.5 + k (top - 0.5) / n inside the window
+        n = math.ceil(tau + m - 0.5)
+        k = round((z.imag - 0.5) / (tau + m - 0.5) * n)
+        tau = 0.5 + (z.imag - 0.5) * n / k - m
+    ps = spray_dims(ratios, Window(sl, sr, tau))
+    assert len(ps) == _count_zeros(ratios, sl, sr, tau)
+    assert any(abs(p.omega - z) < 1e-9 for p in ps) == (where == "inner")
+
+
+def test_spray_dims_raises_when_a_counted_root_is_not_found(monkeypatch):
+    ratios = (0.5, 1 / 3)
+    lost = _root_above(ratios, 10.0)
+    seed_roots = spectrum._seed_roots
+
+    def lossy(*args):
+        z = seed_roots(*args)
+        return z[np.abs(z - lost) > 1e-6]
+
+    monkeypatch.setattr(spectrum, "_seed_roots", lossy)
+    with pytest.raises(zeta.NonconvergenceError, match="Im s in"):
+        spray_dims(ratios, Window(-1.0, 0.99, 20.0))
+
+
 def test_commensurable_exponent_detection():
     arr = lambda *xs: np.asarray(xs, dtype=float)
     assert spectrum._commensurable_exponents(arr(0.5, 0.25, 0.125)) is not None
