@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
+
+from . import flat
 
 __all__ = [
     "FractalString",
@@ -426,29 +427,15 @@ def _saturated_volumes(holes: _Holes, n: int) -> np.ndarray:
 # regions and tube volumes
 
 
-_FLAT_REGION_VOLUME: float | None = None
-
-
-def _flat_region_volume() -> float:
-    global _FLAT_REGION_VOLUME
-    if _FLAT_REGION_VOLUME is None:
-        val, err = quad(lambda x: math.exp(-1.0 / x), 0.0, 1.0,
-                        limit=200, epsabs=0.0, epsrel=1e-13)
-        if not err < 1e-12:
-            raise RuntimeError(f"flat region volume error {err:.3g} above 1e-12")
-        _FLAT_REGION_VOLUME = val
-    return _FLAT_REGION_VOLUME
-
-
 def region_volume(desc: SetDescriptor) -> float:
     """|Ω| of the reference region.
 
     A is Lebesgue-null, so |Ω| is the saturated total of the hole table.  The
     infinite a-string, whose table is truncated, fills [0, λ]; the flat drum,
-    which has no holes, integrates its cusp.
+    which has no holes, is λ²·E₂(1) (see :mod:`fractalzeta.flat`).
     """
     if desc.kind == "flatDrum":
-        return desc.scale**2 * _flat_region_volume()
+        return desc.scale**2 * flat.region_volume()
     if _truncated(desc):
         return desc.scale
     return float(_saturated_volumes(_hole_table(desc, math.inf), desc.ambient_dim).sum())
@@ -533,54 +520,6 @@ def full_tube_volume(desc: SetDescriptor, t: float | np.ndarray) -> float | np.n
     return tube_volume(desc, t, full=True)
 
 
-def _flat_log_tube_unit(t: float) -> float:
-    """log |B_t(0) ∩ Ω| for the cusp region, stable for tiny t.
-
-    The tube is {(x,y): 0<x<1, 0<y<min(e^{-1/x}, sqrt(t²-x²))} for x < t plus
-    nothing beyond (points with x >= t are at distance >= t).  Integration in
-    u = 1/x - 1/t keeps every exponent nonpositive.
-    """
-    if t <= 0:
-        return -math.inf
-    inv_t = 1.0 / t
-
-    def log_parts(x: float) -> tuple[float, float]:
-        x2 = t * t - x * x
-        if x2 <= 0.0:
-            return -1.0 / x, -math.inf
-        return -1.0 / x, 0.5 * math.log(x2)
-
-    def integrand(u: float) -> float:
-        x = 1.0 / (u + inv_t)
-        cusp, circle = log_parts(x)
-        if circle == -math.inf:
-            return 0.0
-        return math.exp(min(cusp, circle) + inv_t) / (u + inv_t) ** 2
-
-    u_lo = max(0.0, 1.0 - inv_t)  # x <= 1 (the region ends there)
-    u_hi = u_lo + 60.0
-    # the integrand has a kink where the cusp graph meets the circle; split there
-    kink = None
-    glo, ghi = u_lo + 1e-13, u_hi
-    def diff(u: float) -> float:
-        cusp, circle = log_parts(1.0 / (u + inv_t))
-        return cusp - circle
-    if diff(glo) > 0 > diff(ghi):
-        for _ in range(200):
-            mid = 0.5 * (glo + ghi)
-            if diff(mid) > 0:
-                glo = mid
-            else:
-                ghi = mid
-        kink = 0.5 * (glo + ghi)
-    pts = [kink] if kink is not None else None
-    val, _ = quad(integrand, u_lo, u_hi, limit=400, epsabs=0.0, epsrel=1e-11,
-                  points=pts)
-    if val <= 0.0:
-        return -math.inf
-    return math.log(val) - inv_t
-
-
 def _hole_log_distances(desc: SetDescriptor, count: int,
                         rng: np.random.Generator) -> np.ndarray:
     """log d(x, A) for ``count`` uniform points x of Ω, drawn from its exact law.
@@ -628,14 +567,13 @@ def log_tube_volume(desc: SetDescriptor, t: float | np.ndarray,
     ``t`` is a scalar, giving a float, or an array, giving an array of its
     shape.  Every kind but the flat drum takes the log of one array
     ``tube_volume`` call; the flat drum, whose volume underflows for t below
-    ~1.4e-3, integrates each t in log space.
+    ~1.4e-3, evaluates its closed form in log space (see :mod:`fractalzeta.flat`).
     """
     if desc.kind == "flatDrum":
         if full:
             raise ValueError("the flat drum is a relative construction only")
         ts = np.asarray(t, dtype=float)
-        logs = np.array([_flat_log_tube_unit(x) for x in (ts / desc.scale).ravel()])
-        logs = logs.reshape(ts.shape) + 2.0 * math.log(desc.scale)
+        logs = flat.log_tube(ts / desc.scale) + 2.0 * math.log(desc.scale)
     else:
         with np.errstate(divide="ignore"):
             logs = np.log(tube_volume(desc, t, full=full))
@@ -646,7 +584,7 @@ def saturation_threshold(desc: SetDescriptor) -> float:
     """sup_{x∈Ω} d(x, A), the largest inradius of the hole table: beyond this
     t the inner tube fills Ω."""
     if desc.kind == "flatDrum":
-        return math.hypot(1.0, math.exp(-1.0)) * desc.scale
+        return flat.SATURATION * desc.scale
     return float(_hole_table(desc, math.inf).radii.max())
 
 

@@ -11,15 +11,16 @@ functional equation tie the three routes together.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import geometry
+from . import flat, geometry
+from .flat import _expm1_over
 from .geometry import (
     FractalString,
     SetDescriptor,
@@ -196,8 +197,14 @@ def catalog_form(desc: SetDescriptor, full: bool = False,
     (truncated table) and the flat drum (no holes) have no closed form.
     ``full``: ζ_A(s, A_δ), which requires δ >= the saturation threshold so
     that Ω ⊆ A_δ; the outside collar is then a Steiner polynomial and the
-    form stays exact.
+    form stays exact.  Descriptors and forms are frozen, so each form is
+    built once per ``(desc, full, delta)``.
     """
+    return _catalog_form(desc, full, delta if full else None)
+
+
+@functools.lru_cache(maxsize=256)
+def _catalog_form(desc: SetDescriptor, full: bool, delta: float | None) -> MeromorphicForm:
     if desc.kind == "nest" or geometry._truncated(desc):
         raise ValueError(f"no closed zeta form for kind {desc.kind!r}")
     holes = geometry._hole_table(desc, math.inf)
@@ -259,11 +266,6 @@ class ZetaEstimate:
 _EPS = 16 * 2.0**-52
 
 
-def _expm1_over(z: complex, x):
-    """(e^{z x} - 1) / z, continuous at z = 0 where it equals x."""
-    return np.expm1(z * x) / z if z != 0 else x + 0j
-
-
 def _a_string_tail(desc: SetDescriptor, s: complex, delta: float,
                    holes: int, floor: float) -> tuple[complex, float]:
     """∫_0^δ t^{s-2} R(t) dt for the gaps beyond the first ``holes`` of the
@@ -294,26 +296,18 @@ def _a_string_tail(desc: SetDescriptor, s: complex, delta: float,
 
 def _flat_drum_zeta(desc: SetDescriptor, s: complex, delta: float,
                     tol: float) -> ZetaEstimate:
-    """ζ̃ of the flat drum by adaptive quadrature of the real and imaginary parts.
-
-    Its tube volume is not piecewise polynomial; it is evaluated in log space,
-    where it stays finite for tiny t.
-    """
-    z = s - desc.ambient_dim
-
-    def integrand(t: float) -> complex:
-        return np.exp((z - 1.0) * math.log(t) + geometry.log_tube_volume(desc, t))
-
-    kinks = [p for p in (desc.scale, saturation_threshold(desc)) if p < delta]
-    parts = [quad(lambda t: part(integrand(t)), 0.0, delta, points=kinks or None,
-                  limit=200, epsabs=0.25 * tol, epsrel=0.25 * tol, full_output=1)
-             for part in (np.real, np.imag)]
-    value = complex(parts[0][0], parts[1][0])
-    err = math.hypot(parts[0][1], parts[1][1])
-    if any(len(p) > 3 for p in parts) or err > tol * max(1.0, abs(value)):
+    """ζ̃ of the flat drum from its closed form, λ^s·ζ̃₁(s; δ/λ) with ζ̃₁ at
+    unit scale (see :func:`fractalzeta.flat.tube_zeta`)."""
+    lam = desc.scale
+    try:
+        value, err, terms = flat.tube_zeta(s, delta / lam)
+    except ArithmeticError as exc:
+        raise NonconvergenceError(f"flat drum tube zeta: {exc}") from None
+    factor = np.exp(s * math.log(lam))
+    value, err = complex(factor * value), err * abs(factor)
+    if not (math.isfinite(err) and err <= tol * max(1.0, abs(value))):
         raise NonconvergenceError(f"flat drum tube zeta bound {err:.3g} above tol {tol:g}")
-    return ZetaEstimate(value=value, quad_err_bound=err,
-                        nodes=sum(p[2]["neval"] for p in parts))
+    return ZetaEstimate(value=value, quad_err_bound=err, nodes=terms)
 
 
 def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
@@ -327,11 +321,15 @@ def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
     r = min(ρ, δ).  The self-similar levels of Cantor sets and carpets sum as
     a geometric series of ratio m·a^s.  The returned bound covers the roundoff
     of the sum, amplified by 1/|1 - m·a^s| near the dimension, and for the
-    infinite a-string the fitted tail beyond its stored gaps; the flat drum,
-    whose tube is not piecewise polynomial, is integrated adaptively.
-    ``nodes`` counts the hole rows summed (integrand evaluations for the flat
-    drum).  Raises :class:`NonconvergenceError` where the integral diverges
-    (Re s at or below the dimension) or the bound exceeds ``tol·max(1, |ζ̃|)``.
+    infinite a-string the fitted tail beyond its stored gaps.  The flat drum,
+    whose tube is not piecewise polynomial, sums its closed form instead: a
+    binomial series of incomplete gammas, plus a Gauss–Legendre circular
+    segment below saturation and a mean over a small circle about s near
+    s = 2, whose shares of the bound are estimates.
+    ``nodes`` counts the hole rows summed (series terms and quadrature nodes
+    for the flat drum).  Raises :class:`NonconvergenceError` where the
+    integral diverges (Re s at or below the dimension) or the bound exceeds
+    ``tol·max(1, |ζ̃|)``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")

@@ -1,6 +1,10 @@
 """Command line interface: artifacts, determinism, schema, exit codes."""
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -172,6 +176,31 @@ def test_zeta_closed_unavailable_for_flat_drum(capsys):
     assert run(["zeta", "--set", "flat", "--re", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
     assert run(["zeta", "--set", "nest", "--re", "1.5"]) == 2
+
+
+# scipy is a test dependency only: with it blocked, every import of it raises
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from fractalzeta import cli
+for argv in (["verify"],
+             ["zeta", "--set", "flat", "--method", "quad", "--re", "-2", "--im", "3",
+              "--delta", "1.2"],
+             ["dims", "--set", "flat", "--tmin", "1e-4", "--tmax", "1e-2"],
+             ["tube", "--set", "flat", "--tmin", "1e-12", "--tmax", "1.2"]):
+    code = cli.main(argv)
+    assert code == 0, (argv, code)
+"""
+
+
+def test_flat_drum_and_verify_run_without_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert "14/14 criteria passed" in res.stdout
 
 
 # --- poles ---------------------------------------------------------------------

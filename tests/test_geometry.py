@@ -5,6 +5,7 @@ rationals derived from the hole ladders by hand, interval-construction
 covers, high-precision quadrature (mpmath), and seeded Monte Carlo counts.
 """
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -270,41 +271,50 @@ def test_string_validation():
 
 
 def _flat_tube_mp(t):
+    """|B_t(0) ∩ Ω| for the cusp Ω = {0 < x < 1, 0 < y < e^{-1/x}} in mpmath.
+
+    Left of the crossing x* of the cusp and the circle it is x*·E₂(1/x*)
+    (mpmath's ``expint``); right of it the circular segment {x > x*, |p| < t},
+    less the one beyond x = 1 when t > 1.  The crossing is bisected in
+    L = log w, x* = t/(1 + w), where t² - x*² = t²·w(2 + w)/(1 + w)² holds
+    without cancellation, so it stays resolved where x* and t agree to
+    thousands of digits (mpmath exponents do not underflow).
+    """
     mp.mp.dps = 40
     tm = mp.mpf(t)
-    top = min(tm, mp.mpf(1))
+    if tm >= mp.sqrt(1 + mp.e ** -2):
+        return mp.expint(2, 1)
 
-    def gap(x):
-        rad = tm ** 2 - x ** 2
-        if rad <= 0:
-            return mp.mpf(1)
-        return mp.e ** (-1 / x) - mp.sqrt(rad)
+    def excess(big_l):  # log cusp - log circle at x = t/(1 + e^L), decreasing in L
+        w = mp.e ** big_l
+        return -(1 + w) / tm - mp.log(tm) - (big_l + mp.log(2 + w)) / 2 + mp.log(1 + w)
 
-    lo, hi = tm * mp.mpf("1e-6"), top * (1 - mp.mpf("1e-30"))
-    crossing = None
-    if gap(lo) < 0 and gap(hi) > 0:
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if gap(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        crossing = (lo + hi) / 2
+    lo, hi = -2 / tm - 2 * mp.log(tm) - 50, mp.log(tm) + 2
+    for _ in range(300):
+        mid = (lo + hi) / 2
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    x_star = tm / (1 + mp.e ** ((lo + hi) / 2))
 
-    def integrand(x):
-        if x <= 0:
-            return mp.mpf(0)
-        return min(mp.e ** (-1 / x), mp.sqrt(max(tm ** 2 - x ** 2, mp.mpf(0))))
+    def segment(c):  # area of {x > c, y > 0, |p| < t}
+        return tm ** 2 / 2 * mp.acos(c / tm) - c / 2 * mp.sqrt(tm ** 2 - c ** 2)
 
-    pts = [mp.mpf(0), crossing, top] if crossing is not None else [mp.mpf(0), top]
-    return mp.quad(integrand, pts)
+    vol = x_star * mp.expint(2, 1 / x_star) + segment(x_star)
+    return vol - segment(mp.mpf(1)) if tm > 1 else vol
+
+
+_FLAT_TS = (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.02, 1.2)
 
 
 def test_flat_drum_log_tube_matches_mpmath():
     desc = geometry.flat_drum()
-    for t in (0.3, 0.1, 0.05, 0.02, 0.9, 1.2):
-        ref = float(mp.log(_flat_tube_mp(t)))
-        assert geometry.log_tube_volume(desc, t) == pytest.approx(ref, abs=1e-9)
+    want = np.array([float(mp.log(_flat_tube_mp(t))) for t in _FLAT_TS])
+    got = geometry.log_tube_volume(desc, np.array(_FLAT_TS))
+    assert np.max(np.abs(got / want - 1)) <= 1e-13
+    scalar = np.array([geometry.log_tube_volume(desc, t) for t in _FLAT_TS])
+    assert np.max(np.abs(scalar / want - 1)) <= 1e-13
 
 
 def test_flat_drum_region_volume_matches_mpmath():
@@ -313,6 +323,7 @@ def test_flat_drum_region_volume_matches_mpmath():
                         [0, 1]))
     desc = geometry.flat_drum()
     assert geometry.region_volume(desc) == pytest.approx(ref, rel=1e-12)
+    assert abs(geometry.region_volume(desc) - 0.148495506775922) <= 1e-15  # E₂(1)
 
 
 def test_flat_drum_saturates_at_region_volume():
@@ -329,6 +340,16 @@ def test_flat_drum_log_tube_survives_underflow():
     lv = geometry.log_tube_volume(desc, 1e-3)
     assert math.isfinite(lv) and lv < -900  # V ~ e^{-1/t}, far below float range
     assert geometry.tube_volume(desc, 1e-3) == 0.0
+    ts = 10.0 ** -np.arange(15.0, -1.0, -1.0)  # 1e-15 ... 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = geometry.log_tube_volume(desc, ts)
+        scalar = [geometry.log_tube_volume(desc, t) for t in ts]
+    assert np.all(np.isfinite(got)) and np.all(np.diff(got) > 0)
+    assert got == pytest.approx(scalar, rel=1e-15, abs=0.0)
+    # log V = -1/t + 2 log t + O(t) as t -> 0, since V ~ t²·e^{-1/t}; at
+    # t = 1e-15 the 2 log t = -69 term shows against an ulp of 0.125
+    assert abs(got[0] - (-1e15 + 2 * math.log(1e-15))) <= 0.5
 
 
 def test_flat_drum_rejects_full_tube():
