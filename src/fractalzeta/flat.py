@@ -245,20 +245,29 @@ def _tube_zeta_at(s: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray, 
 _CIRCLE_POINTS = 16
 
 
+def _circle_mean(evaluate, s: complex, radius: float) -> tuple[complex, float, int]:
+    """f(s) as the mean of f over the circle of ``radius`` about s, for f
+    analytic on the closed disk, by the mean value property: trapezoidal on
+    16 points, error estimated against the 8-point mean.  ``evaluate`` maps
+    an array of points to values, error bounds and a term count, which is
+    returned per point summed.
+    """
+    circle = s + radius * np.exp(2j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)
+    values, errs, terms = evaluate(circle)
+    mean = complex(values.mean())
+    return mean, float(errs.max() + abs(mean - values[::2].mean())), _CIRCLE_POINTS * terms
+
+
 def tube_zeta(s: complex, delta: float) -> tuple[complex, float, int]:
     """ζ̃(s; δ) = ∫₀^δ t^{s-3} |B_t(0) ∩ Ω| dt at unit scale, entire in s: its
     value, an error bound and the number of terms summed.
 
-    Near s = 2 the functional equation is 0/0.  There ζ̃(s) is the mean of
-    ζ̃ over the circle of radius ρ about s, ρ small against 1/|log t| on
-    (0, δ] where the tube has mass, by the mean value property (trapezoidal
-    on 16 points, error estimated against the 8-point mean).
+    Near s = 2 the functional equation is 0/0.  There ζ̃(s) is its mean over
+    the circle of radius ρ about s, ρ small against 1/|log t| on (0, δ] where
+    the tube has mass (``_circle_mean``).
     """
     radius = 1.0 / (8.0 * max(2.0, abs(math.log(delta))))
     if abs(s - 2.0) >= 0.5 * radius:
         values, errs, terms = _tube_zeta_at(np.array([s], dtype=complex), delta)
         return complex(values[0]), float(errs[0]), terms
-    circle = s + radius * np.exp(2j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)
-    values, errs, terms = _tube_zeta_at(circle, delta)
-    mean = complex(values.mean())
-    return mean, float(errs.max() + abs(mean - values[::2].mean())), _CIRCLE_POINTS * terms
+    return _circle_mean(lambda circle: _tube_zeta_at(circle, delta), s, radius)

@@ -324,13 +324,22 @@ class _Holes(NamedTuple):
     ratios: tuple[int, float] | None = None
 
 
-# leading gaps of the infinite a-string held as holes; the rest is a tail model
-_A_STRING_HOLES = 120_000
-
-
 def _truncated(desc: SetDescriptor) -> bool:
     """True for the infinite a-string, whose table holds its leading gaps only."""
     return desc.kind == "aString" and desc.J is None
+
+
+def _a_string_head(a: float, s: complex = 0.0) -> int:
+    """J = max(⌈16(1 + a)⌉, ⌈(1 + a)|s|⌉): the gaps j < J of the infinite
+    a-string that are held as rows, for sums of ℓ_j^s.
+
+    Past J the gaps ℓ_j = a·j^{-1-a}·g(1/j) are summed in closed form, as a
+    series in 1/j <= 1/J (``zeta._a_string_powers``).  J·r >= 13 for the
+    radius r = sin(π/(3(1 + a))) on which that series is bounded, and
+    J >= (1 + a)|s| keeps its Euler–Maclaurin terms, which grow like
+    ((1 + a)|s|/(2πJ))^{2k}, small.
+    """
+    return max(math.ceil(16.0 * (1.0 + a)), math.ceil((1.0 + a) * abs(s)))
 
 
 def _cube_coeffs(n: int, sides: np.ndarray) -> np.ndarray:
@@ -363,8 +372,9 @@ def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes
 
     Ladder levels with gaps wider than 2δ are rows of their own; the level
     after them heads the geometric family of all narrower ones, whose holes
-    are all saturated for t >= δ.  The infinite a-string holds its first
-    ``_A_STRING_HOLES`` gaps only.  The flat drum has no holes.
+    are all saturated for t >= δ.  The infinite a-string holds its gaps
+    j < ``_a_string_head(a)`` only; ``zeta`` sums the others in closed form.
+    The flat drum has no holes.
     """
     lam = desc.scale
     n = desc.ambient_dim
@@ -389,7 +399,8 @@ def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes
         coeffs[-1] = (2.0 * math.pi * r[-1], -math.pi)     # centre disk
     elif desc.kind in ("aString", "customString"):
         if desc.kind == "aString":
-            j = np.arange(1, (_A_STRING_HOLES if desc.J is None else desc.J) + 1, dtype=float)
+            last = _a_string_head(desc.a) - 1 if desc.J is None else desc.J
+            j = np.arange(1.0, last + 1.0)
             lengths, counts = lam * _a_string_length(j, desc.a), np.ones(len(j))
         else:
             lengths = lam * np.array([float(l) for l, _ in desc.string.entries])

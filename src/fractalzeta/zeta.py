@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import flat, geometry
-from .flat import _expm1_over
+from .flat import _circle_mean, _expm1_over
 from .geometry import (
     FractalString,
     SetDescriptor,
@@ -247,7 +247,8 @@ class ZetaEstimate:
     """A zeta value with its accompanying uncertainty.
 
     Tube-zeta estimates carry ``quad_err_bound`` and ``nodes``, the number of
-    hole terms summed; Monte Carlo estimates carry ``std_err``/``samples``.
+    hole rows summed, plus the series terms that sum the infinite a-string's
+    gaps past its table; Monte Carlo estimates carry ``std_err``/``samples``.
     """
 
     value: complex
@@ -266,32 +267,157 @@ class ZetaEstimate:
 _EPS = 16 * 2.0**-52
 
 
-def _a_string_tail(desc: SetDescriptor, s: complex, delta: float,
-                   holes: int, floor: float) -> tuple[complex, float]:
-    """∫_0^δ t^{s-2} R(t) dt for the gaps beyond the first ``holes`` of the
-    infinite a-string, whose half-lengths all lie below ``floor``.
+# B_2k/(2k)! for k = 1..10: the Euler–Maclaurin coefficients
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000,
+              43867 / 5109094217170944000, -174611 / 802857662698291200000)
 
-    Above ``floor`` R(t) is their total length (holes+1)^{-a}; below it a
-    two-power fit V ≈ c1 t^{1-D} + c2 t of the exact tube stands in for
-    R(t) = V(t) - 2t·holes.
+
+def _power_sums(w, lo, hi=None) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_{lo <= j < hi} j^{-w} elementwise over broadcast ``w``, ``lo`` and
+    ``hi``, with a bound on its error.
+
+    lo and hi are integers >= 1; hi = None sums to infinity, giving the
+    Hurwitz zeta ζ(w, lo), which needs Re w > 1.  By Euler–Maclaurin to order
+    2M, M = 10, the sum is ∫_lo^hi x^{-w} dx + E(lo) - E(hi) with
+    E(x) = x^{-w}·(1/2 + Σ_{k<=M} B_2k/(2k)!·(w)_{2k-1}·x^{1-2k}), (w)_n the
+    rising factorial.  The integral is lo^{1-w}·(e^{(1-w)L} - 1)/(1 - w),
+    L = ln(hi/lo), which cancels nothing at w = 1.  The remainder is at most
+    4|(w)_{2M}|/(2π)^{2M}·lo^{1-Re w-2M}/(Re w + 2M - 1) (Johansson, Numer.
+    Algorithms 69, 2015); roundoff adds a few ulps of each piece, amplified
+    by |w|·ln x in the powers x^{-w}.
+    """
+    w = np.asarray(w, dtype=complex)
+    order = len(_EM_COEFFS)
+    rising = np.cumprod(w[..., None] + np.arange(2.0 * order), axis=-1)  # (w)_1..(w)_2M
+    odd = 1.0 - 2.0 * np.arange(1.0, order + 1.0)
+
+    def end(x):
+        log_x = np.log(x)
+        corr = (rising[..., ::2] * _EM_COEFFS * np.exp(np.multiply.outer(log_x, odd))).sum(axis=-1)
+        return np.exp(-w * log_x) * (0.5 + corr), log_x
+
+    head, log_lo = end(np.asarray(lo, dtype=float))
+    if hi is None:
+        # an ulp of w moves the pole term by |w|/|w - 1| of itself
+        integral = np.exp((1.0 - w) * log_lo) / (w - 1.0)
+        tail, log_top, pole = 0.0, log_lo, np.abs(w / (w - 1.0))
+    else:
+        tail, log_top = end(np.asarray(hi, dtype=float))
+        integral = np.exp((1.0 - w) * log_lo) * _expm1_over(1.0 - w, log_top - log_lo)
+        pole = 0.0
+    rem = 4.0 * np.abs(rising[..., -1]) / (2.0 * math.pi) ** (2 * order) \
+        * np.exp((1.0 - w.real - 2 * order) * log_lo) / (w.real + 2 * order - 1.0)
+    mags = (np.abs(integral) + np.abs(head) + np.abs(tail)) * (1.0 + np.abs(w) * log_top) \
+        + np.abs(integral) * pole
+    return integral + head - tail, rem + _EPS * mags
+
+
+# Taylor coefficients of g(u)^s kept for the a-string's gaps past the head
+_SERIES_TERMS = 24
+
+
+def _a_string_powers(a: float, s, lo, hi=None) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_{lo <= j < hi} ℓ_j^s over the a-string's gaps ℓ_j = j^{-a} - (j+1)^{-a},
+    elementwise over broadcast ``s`` (Re s >= 0), ``lo`` and ``hi``, with a
+    bound on its error.
+
+    lo >= ``geometry._a_string_head(a, s)``; hi = None sums to infinity, which
+    needs Re s > 1/(1 + a).  ℓ_j = a·j^{-1-a}·g(1/j) with
+    g(u) = (1 - (1+u)^{-a})/(a u) = Σ_m g_m u^m, g_m = (-1)^m (a+1)_m/(m+1)!,
+    so the sum is a^s Σ_{m<K} c_m(s)·P((1+a)s + m) (Lapidus–Radunović–
+    Žubrinić 2017), P the power sums of ``_power_sums`` and c_m the
+    coefficients of g^s from m·c_m = Σ_{k<=m} ((s+1)k - m)·g_k·c_{m-k}.
+    g(u) = ∫_0^1 (1 + tu)^{-1-a} dt is a mean of values with
+    |arg| <= (1 + a)·asin ρ <= π/3 and modulus <= (1 - ρ)^{-1-a} for
+    |u| <= ρ <= sin(π/(3(1 + a))), so there
+    |g^s| <= G = exp((1 + a)(Re s·ln(1/(1 - ρ)) + |Im s|·asin ρ)), and by
+    Cauchy the series past c_{K-1} is at most G·(|u|/ρ)^K/(1 - |u|/ρ); ρ is
+    also at most K/((1 + a)|Im s|), which about minimises that bound for
+    large |Im s|.  With |u| = 1/j, the truncation over j >= lo is at most
+    |a^s|·G·ρ^{-K}/(1 - 1/(lo·ρ))·(lo^{-p} + lo^{1-p}/(p - 1)),
+    p = (1 + a) Re s + K.  Roundoff is scaled by the same recurrence on
+    absolute values.
+    """
+    s = np.asarray(s, dtype=complex)
+    lo = np.asarray(lo, dtype=float)
+    big_k = _SERIES_TERMS
+    m = np.arange(1.0, big_k)
+    g = np.concatenate(([1.0], np.cumprod(-(a + m) / (m + 1.0))))
+    # weights[..., n, k - 1] = ((s + 1)k - n)·g_k/n for c_{n-k}; the same on
+    # absolute values, as a second row, gives a scale for the roundoff
+    n = np.arange(1.0, big_k)[:, None]
+    weights = ((s[..., None, None] + 1.0) * m - n) * g[1:] / n
+    weights = np.stack((weights, np.abs(weights)))
+    coeffs = np.zeros(weights.shape[:-2] + (big_k,), dtype=complex)
+    coeffs[..., 0] = 1.0
+    for i in range(1, big_k):
+        coeffs[..., i] = (weights[..., i - 1, :i] * coeffs[..., i - 1::-1]).sum(axis=-1)
+    c, c_abs = coeffs[0], coeffs[1].real
+    w = (1.0 + a) * s[..., None] + np.arange(big_k)
+    if hi is not None:
+        hi = np.asarray(hi, dtype=float)[..., None]
+    sums, sum_errs = _power_sums(w, lo[..., None], hi)
+    scale = np.exp(s * math.log(a))
+    value = scale * (c * sums).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        rho = np.minimum(math.sin(math.pi / (3.0 * (1.0 + a))),
+                         big_k / ((1.0 + a) * np.abs(s.imag)))
+    p = (1.0 + a) * s.real + big_k
+    growth = (1.0 + a) * (s.real * -np.log1p(-rho) + np.abs(s.imag) * np.arcsin(rho))
+    trunc = np.abs(scale) * np.exp(growth - big_k * np.log(rho)) / (1.0 - 1.0 / (lo * rho)) \
+        * (lo ** -p + lo ** (1.0 - p) / (p - 1.0))
+    roundoff = _EPS * (1.0 + np.abs(s) * abs(math.log(a))) \
+        * (np.arange(1.0, big_k + 1.0) * c_abs * np.abs(sums)).sum(axis=-1)
+    err = np.abs(scale) * ((np.abs(c) * sum_errs).sum(axis=-1) + roundoff) + trunc
+    return value, err
+
+
+def _a_string_saturated(desc: SetDescriptor, s: np.ndarray, delta: float,
+                        start: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Σ_{j >= start} ∫_0^δ t^{s-2}·min(2t, X_j) dt over the infinite
+    a-string's gaps X_j = λℓ_j, all at most 2δ, for each s ≠ 1: with its error
+    bound and the number of series terms.
+
+    Each saturated gap gives X·δ^{s-1}/(s - 1) - 2^{1-s} X^s/(s(s - 1)); the
+    X_j telescope to λ·start^{-a}, and Σ X_j^s is ``_a_string_powers``.
     """
     lam, a = desc.scale, desc.a
-    dim = 1.0 / (1.0 + a)
     z = s - 1.0
-    rest = lam * float(holes + 1) ** (-a)
-    value = rest * np.exp(z * math.log(floor)) * _expm1_over(z, math.log(delta / floor))
-    t1, t2 = floor, floor / 8.0
-    v1, v2 = tube_volume(desc, t1), tube_volume(desc, t2)
-    e1, e2 = 1.0 - dim, 1.0
-    det = t1**e1 * t2**e2 - t2**e1 * t1**e2
-    c1 = (v1 * t2**e2 - v2 * t1**e2) / det
-    c2 = (v2 * t1**e1 - v1 * t2**e1) / det
-    model = c1 * np.exp((z + e1) * math.log(floor)) / (z + e1) \
-        + c2 * np.exp((z + e2) * math.log(floor)) / (z + e2)
-    value += model - 2.0 * holes * np.exp((z + 1.0) * math.log(floor)) / (z + 1.0)
-    # residual model error: sawtooth and next-order terms are O(floor^{2/(1+a)})
-    err = abs(model) * (4.0 * floor ** (2.0 / (1.0 + a)) + 1e-12)
-    return complex(value), float(err)
+    powers, powers_err = _a_string_powers(a, s, start)
+    first = lam * start ** -a * np.exp(z * math.log(delta))
+    factor = np.exp(s * math.log(lam) - z * math.log(2.0)) / s
+    second = factor * powers
+    err = np.abs(factor) * powers_err \
+        + _EPS * (np.abs(first) * (1.0 + np.abs(z * math.log(delta))) + np.abs(second))
+    return (first - second) / z, err / np.abs(z), _SERIES_TERMS
+
+
+def _a_string_rest(desc: SetDescriptor, s: complex, delta: float,
+                   head: int) -> tuple[complex, float, int]:
+    """∫_0^δ t^{s-2} R(t) dt for the gaps j > ``head`` of the infinite a-string,
+    R being their share of the tube, for Re s > 1/(1 + a): value, error bound
+    and the number of series terms.
+
+    Those of them wider than 2δ, j <= j* (``geometry._a_string_count``),
+    contribute 2δ^s/s each; the rest are saturated (``_a_string_saturated``).
+    Near s = 1 that sum is 0/0, and its value there is its mean over a circle
+    about s, well inside Re s > 1/(1 + a) (``flat._circle_mean``).
+    """
+    lam, a = desc.scale, desc.a
+    wide = float(geometry._a_string_count(a, np.array([delta / lam]))[0])
+    start = max(head + 1.0, wide + 1.0)
+    each = 2.0 * np.exp(s * math.log(delta)) / s
+    value = (start - head - 1.0) * each
+    err = _EPS * abs(value) * (1.0 + abs(s * math.log(delta)))
+    radius = a / (1.0 + a) / 64.0  # (1 - D)/64
+    if abs(s - 1.0) >= 0.5 * radius:
+        rest, rest_err, terms = _a_string_saturated(desc, np.array([s]), delta, start)
+        rest, rest_err = complex(rest[0]), float(rest_err[0])
+    else:
+        rest, rest_err, terms = _circle_mean(
+            lambda pts: _a_string_saturated(desc, pts, delta, start), s, radius)
+    return complex(value + rest), err + rest_err, terms
 
 
 def _flat_drum_zeta(desc: SetDescriptor, s: complex, delta: float,
@@ -319,17 +445,20 @@ def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
     inradius ρ, so each hole integrates in closed form:
     Σ_m c_m r^{s-N+m}/(s-N+m) + h(r)(δ^{s-N} - r^{s-N})/(s-N) with
     r = min(ρ, δ).  The self-similar levels of Cantor sets and carpets sum as
-    a geometric series of ratio m·a^s.  The returned bound covers the roundoff
-    of the sum, amplified by 1/|1 - m·a^s| near the dimension, and for the
-    infinite a-string the fitted tail beyond its stored gaps.  The flat drum,
+    a geometric series of ratio m·a^s.  The infinite a-string's table holds
+    its leading gaps; the others are summed in closed form, as a series in
+    Hurwitz zetas (``_a_string_rest``).  The returned bound covers the
+    roundoff of the sum, amplified by 1/|1 - m·a^s| near the dimension, and
+    for the a-string the Euler–Maclaurin remainders and the truncation of
+    that series.  The flat drum,
     whose tube is not piecewise polynomial, sums its closed form instead: a
     binomial series of incomplete gammas, plus a Gauss–Legendre circular
     segment below saturation and a mean over a small circle about s near
     s = 2, whose shares of the bound are estimates.
-    ``nodes`` counts the hole rows summed (series terms and quadrature nodes
-    for the flat drum).  Raises :class:`NonconvergenceError` where the
-    integral diverges (Re s at or below the dimension) or the bound exceeds
-    ``tol·max(1, |ζ̃|)``.
+    ``nodes`` counts the hole rows summed, plus the series terms for the
+    infinite a-string (series terms and quadrature nodes for the flat drum).
+    Raises :class:`NonconvergenceError` where the integral diverges (Re s at
+    or below the dimension) or the bound exceeds ``tol·max(1, |ζ̃|)``.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -337,12 +466,18 @@ def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
     n_dim = desc.ambient_dim
     if desc.kind == "flatDrum" and not full:
         return _flat_drum_zeta(desc, s, delta, tol)
-    holes = geometry._hole_table(desc, delta, full=full)
     z = s - n_dim
-    m = np.arange(1, holes.coeffs.shape[1] + 1)
     # every h grows like (boundary measure)·t near 0, so ∫ t^{z-1} h diverges for Re z <= -1
     if z.real <= -1.0:
         raise NonconvergenceError(f"tube zeta diverges at t -> 0 for Re s <= {n_dim - 1}")
+    table_desc = desc
+    if geometry._truncated(desc):
+        if s.real <= 1.0 / (1.0 + desc.a):
+            raise NonconvergenceError(
+                f"tube zeta diverges for Re s <= 1/(1 + a) = {1.0 / (1.0 + desc.a):g}")
+        table_desc = replace(desc, J=geometry._a_string_head(desc.a, s) - 1)
+    holes = geometry._hole_table(table_desc, delta, full=full)
+    m = np.arange(1, holes.coeffs.shape[1] + 1)
     r = np.minimum(holes.radii, delta)
     log_r = np.log(r)
     poly = holes.coeffs * np.exp(np.multiply.outer(log_r, z + m)) / (z + m)
@@ -369,15 +504,14 @@ def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
             / abs(1.0 - q) ** 2
     value = complex(terms.sum())
     err = _EPS * float(mags.sum())
+    nodes = len(r)
     if geometry._truncated(desc):
-        rows = len(r) - int(full)
-        tail, tail_err = _a_string_tail(desc, s, delta, rows, float(r[-1]))
-        value += tail
-        err += tail_err
+        rest, rest_err, series = _a_string_rest(desc, s, delta, len(r) - int(full))
+        value, err, nodes = value + rest, err + rest_err, nodes + series
     if not (math.isfinite(err) and err <= tol * max(1.0, abs(value))):
         raise NonconvergenceError(
             f"tube zeta bound {err:.3g} above tol {tol:g} at s = {s:g}")
-    return ZetaEstimate(value=value, quad_err_bound=err, nodes=len(r))
+    return ZetaEstimate(value=value, quad_err_bound=err, nodes=nodes)
 
 
 def tube_zeta_closed(desc: SetDescriptor, s: complex, delta: float,
@@ -641,15 +775,20 @@ def _ladder_blocks(desc: SetDescriptor, levels: int = 48):
 
 
 def _string_blocks(desc: SetDescriptor, imax: int = 21):
+    """Partial sums Σ_{j < 2^i} ℓ_j^σ, i = 1..imax, of the a-string's lengths:
+    one by one below the first power of two past the table's head, then one
+    dyadic block [2^{i-1}, 2^i) at a time in closed form (``_a_string_powers``).
+    """
     a = desc.a
-    j = np.arange(1, 2**imax, dtype=float)
-    logl = np.log(geometry._a_string_length(j, a))
-    ends = 2 ** np.arange(1, imax + 1) - 2  # partial sums over j < 2^i
+    first = min(math.ceil(math.log2(geometry._a_string_head(a))), imax)
+    logl = np.log(geometry._a_string_length(np.arange(1.0, 2.0**first), a))
+    ends = 2 ** np.arange(1, first + 1) - 2  # partial sums over j < 2^i
+    lo = 2.0 ** np.arange(first, imax)
 
     def evaluator(sigma: float) -> np.ndarray:
-        csum = np.cumsum(np.exp(sigma * logl))
-        idx = np.minimum(ends, len(csum) - 1)
-        return csum[idx]
+        head = np.cumsum(np.exp(sigma * logl))
+        blocks = _a_string_powers(a, sigma, lo, 2.0 * lo)[0].real
+        return np.concatenate((head[ends], head[-1] + np.cumsum(blocks)))
 
     return evaluator
 

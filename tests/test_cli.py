@@ -138,6 +138,16 @@ def test_zeta_quad_matches_library(tmp_path):
                - est.value) <= est.quad_err_bound + 1e-12
 
 
+def test_zeta_quad_on_a_string_near_dimension(tmp_path, schema):
+    # 0.027 right of D = 1/3, where the old fitted tail could not meet tol
+    out = tmp_path / "q.json"
+    assert run(["zeta", "--set", "astring", "--a", "2", "--re", "0.36", "--im", "0.3",
+                "--method", "quad", "--delta", "0.5", "--output", str(out)]) == 0
+    art = read_json(out)
+    jsonschema.validate(art, schema)
+    assert art["quadErrBound"] <= 1e-10 * abs(complex(art["value"]["re"], art["value"]["im"]))
+
+
 def test_zeta_mc_seeded_determinism(tmp_path, schema):
     args = ["zeta", "--set", "carpet2", "--re", "1.95", "--method", "mc",
             "--n", "20000"]
@@ -187,7 +197,9 @@ for argv in (["verify"],
              ["zeta", "--set", "flat", "--method", "quad", "--re", "-2", "--im", "3",
               "--delta", "1.2"],
              ["dims", "--set", "flat", "--tmin", "1e-4", "--tmax", "1e-2"],
-             ["tube", "--set", "flat", "--tmin", "1e-12", "--tmax", "1.2"]):
+             ["tube", "--set", "flat", "--tmin", "1e-12", "--tmax", "1.2"],
+             ["zeta", "--set", "astring", "--a", "2", "--re", "0.36", "--im", "0.3",
+              "--method", "quad", "--delta", "0.5"]):
     code = cli.main(argv)
     assert code == 0, (argv, code)
 """

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fractalzeta import geometry
 from fractalzeta.geometry import FractalString
+from mp_oracles import flat_tube_mp
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -270,47 +271,12 @@ def test_string_validation():
 # --- flat drum ------------------------------------------------------------------
 
 
-def _flat_tube_mp(t):
-    """|B_t(0) ∩ Ω| for the cusp Ω = {0 < x < 1, 0 < y < e^{-1/x}} in mpmath.
-
-    Left of the crossing x* of the cusp and the circle it is x*·E₂(1/x*)
-    (mpmath's ``expint``); right of it the circular segment {x > x*, |p| < t},
-    less the one beyond x = 1 when t > 1.  The crossing is bisected in
-    L = log w, x* = t/(1 + w), where t² - x*² = t²·w(2 + w)/(1 + w)² holds
-    without cancellation, so it stays resolved where x* and t agree to
-    thousands of digits (mpmath exponents do not underflow).
-    """
-    mp.mp.dps = 40
-    tm = mp.mpf(t)
-    if tm >= mp.sqrt(1 + mp.e ** -2):
-        return mp.expint(2, 1)
-
-    def excess(big_l):  # log cusp - log circle at x = t/(1 + e^L), decreasing in L
-        w = mp.e ** big_l
-        return -(1 + w) / tm - mp.log(tm) - (big_l + mp.log(2 + w)) / 2 + mp.log(1 + w)
-
-    lo, hi = -2 / tm - 2 * mp.log(tm) - 50, mp.log(tm) + 2
-    for _ in range(300):
-        mid = (lo + hi) / 2
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    x_star = tm / (1 + mp.e ** ((lo + hi) / 2))
-
-    def segment(c):  # area of {x > c, y > 0, |p| < t}
-        return tm ** 2 / 2 * mp.acos(c / tm) - c / 2 * mp.sqrt(tm ** 2 - c ** 2)
-
-    vol = x_star * mp.expint(2, 1 / x_star) + segment(x_star)
-    return vol - segment(mp.mpf(1)) if tm > 1 else vol
-
-
 _FLAT_TS = (1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.02, 1.2)
 
 
 def test_flat_drum_log_tube_matches_mpmath():
     desc = geometry.flat_drum()
-    want = np.array([float(mp.log(_flat_tube_mp(t))) for t in _FLAT_TS])
+    want = np.array([float(mp.log(flat_tube_mp(t))) for t in _FLAT_TS])
     got = geometry.log_tube_volume(desc, np.array(_FLAT_TS))
     assert np.max(np.abs(got / want - 1)) <= 1e-13
     scalar = np.array([geometry.log_tube_volume(desc, t) for t in _FLAT_TS])

@@ -4,6 +4,7 @@ Closed forms are checked against quadrature and sampling routes that share
 no code with them, against mpmath coarea integrals for the generators, and
 against each other through the functional equation and scaling identities.
 """
+import functools
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from fractalzeta.zeta import (MeromorphicForm, NonconvergenceError, ZetaTerm,
                               distance_zeta_mc, functional_eq_residual,
                               geometric_zeta, scaling_check, spray_zeta,
                               tube_zeta_closed, tube_zeta_quad)
+from mp_oracles import flat_tube_mp
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -151,12 +153,13 @@ def test_tube_zeta_quad_on_nest_matches_hole_integrals():
 
 def test_tube_zeta_quad_on_flat_drum_matches_mpmath():
     desc = geometry.flat_drum()
+    tube = functools.lru_cache(maxsize=None)(flat_tube_mp)  # the nodes repeat across s
 
     def integrand(t):
-        return mp.power(t, mp.mpc(s) - 3) * mp.exp(geometry.log_tube_volume(desc, float(t)))
+        return mp.power(t, mp.mpc(s) - 3) * tube(t)
 
     # below t = 0.02 the tube volume is under e^{-50}: that part is negligible
-    sat = geometry.saturation_threshold(desc)
+    sat = math.sqrt(1.0 + math.exp(-2.0))  # saturation: the cusp's far corner (1, 1/e)
     for delta in (0.5, 1.2):  # below and above saturation, 1.0655
         cuts = [0.02] + [p for p in (0.5, 1.0, sat) if p < delta] + [delta]
         for s in (1.5 + 1.0j, 0.3 - 0.5j, -2.0 + 3.0j, -0.5 - 1.0j):
@@ -164,6 +167,70 @@ def test_tube_zeta_quad_on_flat_drum_matches_mpmath():
                 ref = complex(mp.quad(integrand, cuts))
             est = tube_zeta_quad(desc, s, delta)
             assert abs(est.value - ref) <= est.err <= 1e-10
+
+
+def _a_string_tube_zeta_mp(a, lam, s, delta, full):
+    """ζ̃ of the λ-scaled infinite a-string in mpmath, gap by gap.
+
+    A gap X_j = λℓ_j, ℓ_j = j^{-a} - (j+1)^{-a}, gives ∫_0^δ t^{s-2} min(2t, X_j) dt:
+    2δ^s/s while X_j > 2δ, and X_j δ^{s-1}/(s-1) - 2^{1-s} X_j^s/(s(s-1)) after.
+    The saturated X_j add up to λ·j₀^{-a}, j₀ the first of them; their X_j^s
+    are summed directly below J and past it as a^s Σ_m c_m ζ((1+a)s + m, J),
+    c_m the Taylor coefficients of g(u)^s, g(u) = (1 - (1+u)^{-a})/(a u), since
+    ℓ_j = a j^{-1-a} g(1/j) <= a j^{-1-a}.  J is 60 past the last gap wider
+    than 2δ and past (1 + a)|s|, where the c_m stop growing like
+    ((1 + a)|s|/2)^m/m!.  Full mode adds the collar, 2t on a line.
+    """
+    with mp.workdps(30):
+        a, lam, s, delta = mp.mpf(a), mp.mpf(lam), mp.mpc(s), mp.mpf(delta)
+        big_j = 60 + int(mp.ceil((lam * a / (2 * delta)) ** (1 / (1 + a)) + (1 + a) * abs(s)))
+        order = 16
+        gaps = [lam * (mp.power(j, -a) - mp.power(j + 1, -a)) for j in range(1, big_j)]
+        wide = sum(1 for x in gaps if x > 2 * delta)
+        assert wide < len(gaps)
+        g = [-mp.binomial(-a, m + 1) / a for m in range(order)]
+        c = [mp.mpf(1)]
+        for m in range(1, order):
+            c.append(mp.fsum(((s + 1) * k - m) * g[k] * c[m - k] for k in range(1, m + 1)) / m)
+        powers = mp.fsum(mp.power(x, s) for x in gaps[wide:]) + mp.power(lam * a, s) \
+            * mp.fsum(c[m] * mp.zeta((1 + a) * s + m, big_j) for m in range(order))
+        saturated = lam * mp.power(wide + 1, -a)
+        value = (wide + int(full)) * 2 * mp.power(delta, s) / s \
+            + (saturated * mp.power(delta, s - 1) - mp.power(2, 1 - s) * powers / s) / (s - 1)
+        return complex(value)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("excess", [1e-3, 0.03, 0.3, 1.2])
+def test_tube_zeta_quad_on_infinite_a_string_matches_mpmath(a, excess):
+    # δ = 0.05 leaves the widest gaps unsaturated: their rows are capped at δ;
+    # at δ = 1e-4 gaps past the table are unsaturated too
+    rng = np.random.default_rng(round(1000 * a + 10 / excess))
+    for full in (False, True):
+        for lam in (1.0, 1.7):
+            for delta in (0.05, 0.5, 1e-4):
+                s = complex(1 / (1 + a) + excess, rng.uniform(-3.0, 3.0))
+                desc = geometry.scaled(geometry.a_string_set(a), lam)
+                ref = _a_string_tube_zeta_mp(a, lam, s, delta, full)
+                est = tube_zeta_quad(desc, s, delta, full=full)
+                assert abs(est.value - ref) <= est.err <= 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("a, s", [
+    (2.0, 0.36 + 0.3j),  # 0.027 right of D = 1/3
+    (1.0, 0.8 + 100j),
+    (0.5, 1.0 - 150j),
+])
+def test_tube_zeta_quad_on_a_string_meets_tol_near_dimension_and_far_from_axis(a, s):
+    ref = _a_string_tube_zeta_mp(a, 1.0, s, 0.5, False)
+    est = tube_zeta_quad(geometry.a_string_set(a), s, 0.5)
+    assert abs(est.value - ref) <= est.err <= 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.45 + 0.5j, 0.5])
+def test_tube_zeta_quad_refuses_a_string_at_or_below_dimension(s):
+    with pytest.raises(NonconvergenceError, match=r"1/\(1 \+ a\) = 0\.5\b"):
+        tube_zeta_quad(geometry.a_string_set(1.0), complex(s), 0.5)
 
 
 def test_tube_zeta_quad_continuous_at_ambient_dim():
@@ -444,6 +511,30 @@ def test_abscissa_matches_similarity_dim():
     assert zeta.abscissa_of(desc) == pytest.approx(D_CANTOR, abs=1e-3)
     astr = geometry.a_string_set(1.0)
     assert zeta.abscissa_of(astr) == pytest.approx(0.5, abs=1e-3)
+
+
+@pytest.mark.parametrize("a, want", [(0.5, 0.6666390991210938), (1.0, 0.4999661254882813),
+                                     (2.0, 0.3333230590820313)])
+def test_a_string_abscissa_is_pinned(a, want):
+    assert zeta.abscissa_of(geometry.a_string_set(a)) == want
+    assert abs(want - 1 / (1 + a)) <= 1e-3
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_a_string_block_sums_match_direct_partial_sums(a):
+    # brute force: Σ_{j < 2^i} ℓ_j^σ over every j < 2^21, each dyadic block
+    # summed pairwise and the blocks exactly (a running np.cumsum drops the
+    # terms below half an ulp of the sum: 3e-11 at a = 2, σ = 0.9).  Partial
+    # sums are compared, not increments, which cancel far right of D
+    j = np.arange(1.0, 2.0**21)
+    logl = np.log(j ** -a * -np.expm1(-a * np.log1p(1 / j)))
+    evaluator = zeta._string_blocks(geometry.a_string_set(a))
+    dim = 1 / (1 + a)
+    for sigma in (0.2, dim - 0.01, dim + 1e-4, 0.9):
+        terms = np.exp(sigma * logl)
+        blocks = [terms[2 ** (i - 1) - 1:2**i - 1].sum() for i in range(1, 22)]
+        want = np.array([math.fsum(blocks[:i]) for i in range(1, 22)])
+        assert np.max(np.abs(evaluator(sigma) / want - 1)) <= 1e-12
 
 
 def test_abscissa_scan_on_geometric_series():
