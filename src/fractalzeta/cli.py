@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 acceptance failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -168,7 +169,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     if args.method == "closed":
         val = zeta.distance_zeta_closed(desc, s, delta=args.delta, full=args.full)
     elif args.method == "quad":
-        est = zeta.tube_zeta_quad(desc, s, args.delta if args.delta else 0.5,
+        est = zeta.tube_zeta_quad(desc, s, 0.5 if args.delta is None else args.delta,
                                   full=args.full)
         val = est.value
         payload["quadErrBound"] = est.quad_err_bound
@@ -321,6 +322,7 @@ def _add_common(p: argparse.ArgumentParser, with_set: bool = True) -> None:
     p.add_argument("--emit-plot-data", help="write an (x, y) CSV for external plotting")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fractalzeta",

@@ -314,8 +314,8 @@ class _Holes(NamedTuple):
     Every hole of a finite row is a cube, a gap, an annulus or a disk, and
     covers h(t) = h(ρ)(1 - (1 - t/ρ)^k) within t of its boundary, k being the
     degree of h: N for cubes, 1 for gaps and annuli, 2 for the nest's centre
-    disk.  The distance to A of a uniform point of such a hole is therefore
-    ρ(1 - U^{1/k}) with U uniform, which ``_hole_log_distances`` draws.
+    disk (``_degrees``).  A uniform point of it lies at distance ρ(1 - U^{1/k})
+    from A, U uniform, and its distance zeta is one Beta term (``zeta._row_term``).
     """
 
     counts: np.ndarray
@@ -413,6 +413,11 @@ def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes
         radii = np.append(math.inf, radii)
         coeffs = np.vstack((_collar_coeffs(desc), coeffs))
     return _Holes(counts, radii, coeffs, ratios)
+
+
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """The degree k of each row's h: the power of its last nonzero coefficient."""
+    return coeffs.shape[1] - np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
 
 
 def _poly(coeffs: np.ndarray | list[float], ts: np.ndarray) -> np.ndarray:
@@ -554,7 +559,7 @@ def _hole_log_distances(desc: SetDescriptor, count: int,
         degree = 1
     else:
         holes = _hole_table(desc, math.inf)
-        degrees = holes.coeffs.shape[1] - np.argmax(holes.coeffs[:, ::-1] != 0.0, axis=1)
+        degrees = _degrees(holes.coeffs)
         if len(holes.radii) == 1:
             log_r, degree = math.log(holes.radii[0]), int(degrees[0])
         else:

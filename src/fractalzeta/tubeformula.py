@@ -91,7 +91,8 @@ def truncated_tube(desc: SetDescriptor, t: float, window: Window,
     Compares against the exact geometric tube volume (the hole-sum oracle).
     ``full`` expands |A_t| instead of |A_t ∩ Ω| and needs ``delta`` for the
     closed form (any δ at least the saturation threshold; the formula itself
-    is δ-independent).
+    is δ-independent).  A drum with finitely many holes is exact only below its
+    smallest inradius (nest, K = 1000: error 2e-19 at t = 1e-6, 0.56 at 1e-3).
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -199,7 +200,7 @@ def spray_tube(gen_kind: str, side: float, ratios: Sequence[float], t: float,
     if gen_kind not in _GEN_SHAPES:
         raise ValueError("generator kind must be interval, square, or cube")
     n = _GEN_SHAPES[gen_kind]
-    gen_form = MeromorphicForm((zeta._cube_form(n, side),))
+    gen_form = MeromorphicForm((zeta._row_term(n, n, -(-2) ** n, side),))
     rs = np.asarray(ratios, dtype=float)
     if float(np.sum(rs**n)) >= 1.0:
         raise ValueError("total spray volume diverges: Σ r^N >= 1")

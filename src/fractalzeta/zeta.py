@@ -4,8 +4,8 @@ The closed forms are finite combinations of elementary terms
 
     coeff * scale^s / ( base^s * Π_i (s - r_i) * (q^s - m) )
 
-collected in a ``MeromorphicForm``.  Everything numerical in this module is
-cross-checkable against the geometric oracles in :mod:`fractalzeta.geometry`:
+collected in a ``MeromorphicForm``, one per hole row (``_row_term``).  All of
+it is cross-checkable against the geometric oracles in :mod:`fractalzeta.geometry`:
 quadrature of the tube integral, Monte Carlo of the distance integral, and the
 functional equation tie the three routes together.
 """
@@ -154,24 +154,28 @@ class MeromorphicForm:
 # --- catalog constructors ---------------------------------------------------
 
 
-def _cube_form(n: int, side: Numeric) -> ZetaTerm:
-    """Relative zeta of (∂C, C) for an N-cube C of side g: N!·2^N (g/2)^s / Π_{j<N} (s - j)."""
-    return ZetaTerm(coeff=math.factorial(n) * 2**n, base=2, scale=side, roots=tuple(range(n)))
+def _row_term(n: int, k: int, top: Numeric, width: Numeric) -> ZetaTerm:
+    """A row of holes of width 2ρ covering h(t) = h(ρ)(1 - (1 - t/ρ)^k) within t
+    of their boundary, c_k = ``top`` its coefficient of t^k: ∫_0^ρ t^{s-N} h'(t) dt
+    is the Beta term k!·(-1)^{k+1}·c_k·ρ^{k-N}·(2ρ/2)^s / Π_{j=1..k} (s - N + j).
+    An N-cube of side g has k = N, c_N = -(-2)^N: N!·2^N (g/2)^s / Π_{j<N} (s - j)."""
+    coeff = math.factorial(k) * (-1) ** (k + 1) * top * (width / 2) ** (k - n)
+    return ZetaTerm(coeff=coeff, base=2, scale=width, roots=tuple(range(n - k, n)))
 
 
 def interval_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂I, I) for an interval of length ``side``: 2 (side/2)^s / s."""
-    return MeromorphicForm((_cube_form(1, side),))
+    return MeromorphicForm((_row_term(1, 1, 2, side),))
 
 
 def square_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂Q, Q) for a square: 8 (side/2)^s / (s(s-1))."""
-    return MeromorphicForm((_cube_form(2, side),))
+    return MeromorphicForm((_row_term(2, 2, -4, side),))
 
 
 def cube_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂C, C) for a cube: 48 (side/2)^s / (s(s-1)(s-2))."""
-    return MeromorphicForm((_cube_form(3, side),))
+    return MeromorphicForm((_row_term(3, 3, 8, side),))
 
 
 def _collar_form(desc: SetDescriptor, delta: float) -> MeromorphicForm:
@@ -188,33 +192,30 @@ def catalog_form(desc: SetDescriptor, full: bool = False,
                  delta: float | None = None) -> MeromorphicForm:
     """Closed form of the distance zeta of a catalog descriptor.
 
-    Relative (default): ζ_A(s, Ω), read off the hole table.  Every hole is a
-    cube (an interval on a line) of side g = 2ρ, so each row contributes
-    count·N!·2^N (g/2)^s / Π_{j<N} (s - j); the levels of a ladder's
-    geometric family add up to the lattice factor q^s/(q^s - m), q = 1/a.
-    This covers Cantor sets, carpets, box boundaries in any dimension and
-    finite strings.  The nest (annular holes), the infinite a-string
-    (truncated table) and the flat drum (no holes) have no closed form.
+    Relative (default): ζ_A(s, Ω), one Beta term per row of the hole table
+    (``_row_term``), whatever the holes' shape, with the levels of a ladder's
+    family summed into the lattice factor q^s/(q^s - m), q = 1/a.  The
+    infinite a-string (truncated table) and the flat drum (no holes) have none.
     ``full``: ζ_A(s, A_δ), which requires δ >= the saturation threshold so
     that Ω ⊆ A_δ; the outside collar is then a Steiner polynomial and the
-    form stays exact.  Descriptors and forms are frozen, so each form is
-    built once per ``(desc, full, delta)``.
+    form stays exact.  Each form is built once per ``(desc, full, delta)``.
     """
     return _catalog_form(desc, full, delta if full else None)
 
 
 @functools.lru_cache(maxsize=256)
 def _catalog_form(desc: SetDescriptor, full: bool, delta: float | None) -> MeromorphicForm:
-    if desc.kind == "nest" or geometry._truncated(desc):
+    if geometry._truncated(desc):
         raise ValueError(f"no closed zeta form for kind {desc.kind!r}")
     holes = geometry._hole_table(desc, math.inf)
-    terms = [replace(cube := _cube_form(desc.ambient_dim, 2.0 * rho),
-                     coeff=int(count) * cube.coeff)
-             for count, rho in zip(holes.counts.tolist(), holes.radii.tolist())]
+    degrees = geometry._degrees(holes.coeffs)
+    # a row of cubes has c_N = count·(±2^N), exact in floats
+    tops = holes.counts * holes.coeffs[np.arange(len(degrees)), degrees - 1]
+    terms = [_row_term(desc.ambient_dim, k, c, 2.0 * rho)
+             for k, c, rho in zip(degrees.tolist(), tops.tolist(), holes.radii.tolist())]
     if holes.ratios is not None:
         m, a = holes.ratios
         q = 1.0 / a
-        q = int(q) if q.is_integer() else q  # an int base keeps residues at integers exact
         terms[-1] = replace(terms[-1], scale=terms[-1].scale * q, lattice=(q, m))
     rel = MeromorphicForm(tuple(terms))
     if not full:
@@ -748,11 +749,11 @@ def abscissa_scan(evaluator: Callable[[float], np.ndarray], lo: float, hi: float
 def _hole_integral_coeff(n: int, sigma: float) -> float:
     """∫ over an N-cube hole of side g of d(x, ∂hole)^{sigma-N}, divided by g^sigma.
 
-    Finite iff sigma > N-1, where it is the cube form of side 1 at sigma.
+    Finite iff sigma > N-1, where it is the cube's row term of side 1 at sigma.
     """
     if sigma <= n - 1:
         return math.inf
-    return float(_cube_form(n, 1).value(sigma).real)
+    return float(_row_term(n, n, -(-2) ** n, 1).value(sigma).real)
 
 
 def _ladder_log_blocks(desc: SetDescriptor, sigma: float, levels: int) -> np.ndarray:

@@ -38,3 +38,38 @@ def flat_tube_mp(t):
 
         vol = x_star * mp.expint(2, 1 / x_star) + segment(x_star)
         return vol - segment(mp.mpf(1)) if tm > 1 else vol
+
+
+def nest_zeta_mp(a, big_k, lam, s):
+    """ζ_A(s, Ω) = ∫_Ω d(x, A)^{s-2} dx for the nest λ·{|x| = k^{-a}, k <= K}
+    in its disk Ω of radius λ, at 30 digits: in polar coordinates
+    ∫ 2πr·d(r)^{s-2} dr, annulus by annulus, with a breakpoint at each
+    mid-radius where the nearest circle changes, and over the centre disk.
+    """
+    with mp.workdps(30):
+        sm = mp.mpc(s)
+        radii = [mp.mpf(lam) * mp.power(k, -mp.mpf(a)) for k in range(1, big_k + 1)]
+
+        def annulus(lo, hi):
+            def f(r):
+                return 2 * mp.pi * r * mp.power(min(r - lo, hi - r), sm - 2)
+            return mp.quad(f, [lo, (lo + hi) / 2, hi])
+
+        total = sum(annulus(lo, hi) for hi, lo in zip(radii, radii[1:]))
+        total += mp.quad(lambda r: 2 * mp.pi * r * mp.power(radii[-1] - r, sm - 2),
+                         [0, radii[-1]])
+        return complex(total)
+
+
+def string_zeta_mp(entries, lam, s):
+    """ζ_A(s, Ω) = ∫_Ω d(x, A)^{s-1} dx for a string of (length, multiplicity)
+    entries scaled by λ, its gaps laid end to end, at 30 digits: each gap of
+    length ℓ gives ∫_0^ℓ min(x, ℓ - x)^{s-1} dx, with a breakpoint at ℓ/2."""
+    with mp.workdps(30):
+        sm = mp.mpc(s)
+
+        def gap(ell):
+            return mp.quad(lambda x: mp.power(min(x, ell - x), sm - 1), [0, ell / 2, ell])
+
+        return complex(sum(mult * gap(mp.mpf(lam) * mp.mpf(float(length)))
+                           for length, mult in entries))

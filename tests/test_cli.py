@@ -173,6 +173,10 @@ def test_zeta_quad_at_the_dimension_exits_2(capsys):
     assert run(["zeta", "--set", "cantor", "--re", "0.6309297535714584",
                 "--method", "quad", "--delta", "0.1"]) == 2
     assert "error:" in capsys.readouterr().err
+    # δ = 0 is refused, not read as unset
+    assert run(["zeta", "--set", "cantor", "--re", "0.9", "--method", "quad",
+                "--delta", "0"]) == 2
+    assert "delta must be positive" in capsys.readouterr().err
 
 
 def test_zeta_mc_with_infinite_variance_exits_2(capsys):
@@ -185,7 +189,6 @@ def test_zeta_mc_with_infinite_variance_exits_2(capsys):
 def test_zeta_closed_unavailable_for_flat_drum(capsys):
     assert run(["zeta", "--set", "flat", "--re", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert run(["zeta", "--set", "nest", "--re", "1.5"]) == 2
 
 
 # scipy is a test dependency only: with it blocked, every import of it raises
@@ -199,7 +202,10 @@ for argv in (["verify"],
              ["dims", "--set", "flat", "--tmin", "1e-4", "--tmax", "1e-2"],
              ["tube", "--set", "flat", "--tmin", "1e-12", "--tmax", "1.2"],
              ["zeta", "--set", "astring", "--a", "2", "--re", "0.36", "--im", "0.3",
-              "--method", "quad", "--delta", "0.5"]):
+              "--method", "quad", "--delta", "0.5"],
+             ["zeta", "--set", "nest", "--re", "1.7", "--im", "0.5"],
+             ["poles", "--set", "nest", "--window=-0.5:1.99:10"],
+             ["tubeformula", "--set", "nest", "--t", "1e-6"]):
     code = cli.main(argv)
     assert code == 0, (argv, code)
 """

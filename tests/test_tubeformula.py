@@ -79,6 +79,23 @@ def test_formula_routes_agree():
     assert a.formula_value == pytest.approx(b.formula_value, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+def test_nest_and_custom_string_formulas_exact_below_smallest_hole(lam):
+    # below its smallest inradius every hole's h is its polynomial: the nest
+    # covers t(2πr_1 + 4πΣ_{k>=2} r_k) - πt², the custom string 2t per gap
+    nest = geometry.scaled(geometry.fractal_nest(0.5, 40), lam)
+    radii = lam * np.arange(1.0, 41.0) ** -0.5
+    string = geometry.scaled(geometry.string_set(geometry.FractalString(
+        entries=((Fraction(1, 2), 1), (Fraction(1, 4), 2), (Fraction(1, 8), 3)))), lam)
+    w = spectrum.Window(-0.5, 1.99, 60.0)
+    for t in (1e-6, 1e-3):
+        area = t * (2 * math.pi * radii[0] + 4 * math.pi * math.fsum(radii[1:])) - math.pi * t * t
+        for desc, ref in ((nest, area), (string, 12.0 * t)):
+            rep = tubeformula.truncated_tube(desc, t, w)
+            assert rep.formula_value == pytest.approx(ref, rel=1e-12, abs=0)
+            assert rep.oracle_value == pytest.approx(ref, rel=1e-12, abs=0)
+
+
 def test_truncated_tube_validation():
     desc = geometry.carpet(2)
     w = spectrum.window_for_lattice(D_CARPET2, LN3, 2)

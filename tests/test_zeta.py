@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fractalzeta import geometry, zeta
+from fractalzeta import geometry, spectrum, zeta
 from fractalzeta.zeta import (MeromorphicForm, NonconvergenceError, ZetaTerm,
                               catalog_form, distance_zeta_closed,
                               distance_zeta_mc, functional_eq_residual,
                               geometric_zeta, scaling_check, spray_zeta,
                               tube_zeta_closed, tube_zeta_quad)
-from mp_oracles import flat_tube_mp
+from mp_oracles import flat_tube_mp, nest_zeta_mp, string_zeta_mp
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -38,6 +38,7 @@ D_CARPET2 = math.log(8.0) / LN3
     lambda: geometry.carpet(3),
     lambda: geometry.box_boundary(2),
     lambda: geometry.scaled(geometry.carpet(2), 2.5),
+    lambda: geometry.fractal_nest(0.5, 40),
 ])
 def test_distance_zeta_at_ambient_dim_is_region_volume(make):
     # s = N turns the integrand into the constant 1
@@ -353,7 +354,8 @@ def test_distance_zeta_mc_hole_law_matches_closed(name, s, lam, full):
     ("a-string 2 x1.7", 0.8 + 0.4j),
 ])
 def test_distance_zeta_mc_matches_functional_equation(name, s):
-    # no closed form: ζ_A(s) = δ^{s-N}|Ω| + (N - s) ζ̃_A(s; δ) at a saturated δ = λ
+    # ζ_A(s) = δ^{s-N}|Ω| + (N - s) ζ̃_A(s; δ) at a saturated δ = λ, from the
+    # hole sum: the infinite a-string has no closed form
     desc = _HOLE_LAW_SETS[name]()
     n, delta = desc.ambient_dim, desc.scale
     ref = (np.exp((s - n) * math.log(delta)) * geometry.region_volume(desc)
@@ -419,6 +421,7 @@ def test_scaling_identity_closed_property(lam, sig, tau):
     (lambda: geometry.box_boundary(2), 1.7 + 1.0j, 0.5),
     (lambda: geometry.box_boundary(4), 3.5 + 0.7j, 0.6),
     (lambda: geometry.a_string_set(1.5, 40), 0.6 + 0.8j, 0.4),
+    (lambda: geometry.fractal_nest(0.5, 40), 1.7 + 0.5j, 0.5),
 ])
 def test_functional_equation_residual_small(make, s, delta):
     # zeta_A(s; delta) = delta^{s-N} |A_delta| + (N - s) tubezeta_A(s; delta),
@@ -438,11 +441,38 @@ def test_relative_forms_require_saturated_delta():
     catalog_form(desc, full=True, delta=1 / 6)
 
 
+@pytest.mark.parametrize("s", [1.7 + 0.5j, 2.3 - 1.0j])
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("name", ["nest", "custom string"])
+def test_closed_form_on_nest_and_custom_string_matches_mpmath(name, lam, s):
+    # one Beta term per annulus, disk or gap, against a polar (or linear)
+    # integral of d(x, A)^{s-N} that splits each hole at its mid-radius
+    desc = geometry.scaled(_HOLE_LAW_SETS[name](), lam)
+    if name == "nest":
+        ref = nest_zeta_mp(0.5, 40, lam, s)
+    else:
+        ref = string_zeta_mp(_CUSTOM.entries, lam, s)
+    assert abs(distance_zeta_closed(desc, s) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+def test_nest_poles_and_residues(lam):
+    # the centre disk gives 2π r^s/(s(s - 1)) and annulus k gives
+    # 2π(r_k + r_{k+1}) ρ^{s-1}/(s - 1): poles 0 and 1 only, with residues
+    # -2π and λ(2π r_1 + 4π Σ_{k>=2} r_k)
+    desc = geometry.scaled(geometry.fractal_nest(0.5, 40), lam)
+    got = spectrum.poles(catalog_form(desc), spectrum.Window(-2.5, 1.99, 30.0))
+    assert [p.omega for p in got] == [0.0, 1.0]
+    with mp.workdps(30):
+        radii = [mp.power(k, -mp.mpf(1) / 2) for k in range(1, 41)]
+        res_one = complex(lam * (2 * mp.pi * radii[0] + 4 * mp.pi * mp.fsum(radii[1:])))
+    assert got[0].residue == pytest.approx(-2.0 * math.pi, rel=1e-14)
+    assert abs(got[1].residue - res_one) <= 1e-12 * abs(res_one)
+
+
 def test_catalog_form_rejects_kinds_without_closed_form():
     with pytest.raises(ValueError):
         catalog_form(geometry.flat_drum())
-    with pytest.raises(ValueError):
-        catalog_form(geometry.fractal_nest(0.5, 10))
     with pytest.raises(ValueError):
         catalog_form(geometry.a_string_set(1.0))  # infinite string: no rational form
 
