@@ -45,9 +45,10 @@ class Window:
         if self.sigma_left > self.sigma_right or self.tau_max < 0:
             raise ValueError("window must satisfy sigma_left <= sigma_right, tau_max >= 0")
 
-    def contains(self, s: complex, slack: float = 1e-12) -> bool:
-        return (self.sigma_left - slack <= s.real <= self.sigma_right + slack
-                and abs(s.imag) <= self.tau_max + slack)
+    def contains(self, s, slack: float = 1e-12):
+        """Whether s lies in the window, elementwise over an array of s."""
+        return ((self.sigma_left - slack <= s.real) & (s.real <= self.sigma_right + slack)
+                & (abs(s.imag) <= self.tau_max + slack))
 
 
 @dataclass(frozen=True)
@@ -66,36 +67,29 @@ def window_for_lattice(dim: float, period: float, kmax: int,
     return Window(dim - sigma_pad, dim + sigma_pad, (kmax + 0.5) * spacing)
 
 
-def _term_residue_at(term: ZetaTerm, omega: complex) -> complex:
-    """Residue contribution of one term at omega (0 if the term is regular)."""
-    root_hits = [r for r in term.roots if abs(omega - float(r)) < _MATCH_TOL]
-    lattice_hit = None
-    if term.lattice is not None:
-        q, m = float(term.lattice[0]), float(term.lattice[1])
-        lq = math.log(q)
-        k = round(omega.imag * lq / (2.0 * math.pi))
-        nearest = math.log(m) / lq + 2j * math.pi * k / lq
-        if abs(omega - nearest) < _MATCH_TOL:
-            lattice_hit = (q, m, nearest)
-    if len(root_hits) + (lattice_hit is not None) == 0:
-        return 0.0
-    if len(root_hits) + (lattice_hit is not None) > 1:
-        raise ValueError(f"higher-order pole at {omega}: coincident denominator factors")
-    if root_hits:
-        pole = complex(float(root_hits[0]))
-        den: complex = 1.0
-        for r in term.roots:
-            if float(r) != float(root_hits[0]):
-                den *= pole - float(r)
+def _residues(form: MeromorphicForm, tau_lo: float, tau_hi: float,
+              keep: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The poles of each term with Im in [tau_lo, tau_hi] (``ZetaTerm.poles``)
+    that ``keep`` accepts, term by term, and the term's residue there.
+
+    A term's residue is num(ω)/D'(ω), D(s) = Π_r (s - r)·(q^s - m): at a root
+    the other factors of D stay; at a lattice point q^ω = m, so
+    D'(ω) = Π_r (ω - r)·m·ln q, one array expression over all of them.
+    """
+    where, res = [], []
+    for term in form.terms:
+        roots, points = term.poles(tau_lo, tau_hi)
+        roots, points = roots[keep(roots)], points[keep(points)]
+        omega = np.concatenate((roots, points)).astype(complex)
+        factors = omega[:, None] - np.array(term.roots, dtype=float)
+        den = np.where(factors == 0.0, 1.0, factors).prod(axis=1)  # a root's own factor is 1
         if term.lattice is not None:
             q, m = float(term.lattice[0]), float(term.lattice[1])
-            den *= cmath.exp(pole * math.log(q)) - m
-    else:
-        q, m, pole = lattice_hit
-        den = m * math.log(q)  # d/ds (q^s - m) at q^s = m
-        for r in term.roots:
-            den *= pole - float(r)
-    return term.numerator(pole) / den
+            den[:len(roots)] *= np.exp(omega[:len(roots)] * math.log(q)) - m
+            den[len(roots):] *= m * math.log(q)
+        where.append(omega)
+        res.append(term.numerator(omega) / den)
+    return np.concatenate(where), np.concatenate(res)
 
 
 def residue_analytic(form: MeromorphicForm, omega: complex) -> complex:
@@ -105,7 +99,8 @@ def residue_analytic(form: MeromorphicForm, omega: complex) -> complex:
     across terms means the apparent pole is removable.
     """
     omega = complex(omega)
-    return complex(sum(_term_residue_at(t, omega) for t in form.terms))
+    return complex(_residues(form, omega.imag, omega.imag,
+                             lambda z: np.abs(z - omega) < _MATCH_TOL)[1].sum())
 
 
 def _as_fraction(x) -> Fraction:
@@ -126,23 +121,16 @@ def residue_exact(form: MeromorphicForm, pole: int | Fraction) -> Fraction:
     p = Fraction(pole)
     total = Fraction(0)
     for term in form.terms:
-        hit = [r for r in term.roots if Fraction(r) == p]
-        if not hit:
+        if p not in (Fraction(r) for r in term.roots):
             continue
-        if len(hit) > 1:
-            raise ValueError("repeated root: higher-order pole")
         if p.denominator != 1:
             raise ValueError("exact residues are implemented at integer poles")
         k = int(p)
-        num = _as_fraction(term.coeff)
-        if k != 0:
-            # x**0 == 1 exactly, so scale/base need to be exact only here
-            num *= _as_fraction(term.scale) ** k / _as_fraction(term.base) ** k
-        den = Fraction(1)
-        for r in term.roots:
-            rf = Fraction(r)
-            if rf != p:
-                den *= p - rf
+        # x**0 == 1 exactly, so scales/base need to be exact only for k != 0
+        ratios = [_as_fraction(x) / _as_fraction(term.base) if k else 1 for x in term.scales]
+        num = sum(_as_fraction(c) * r ** k for c, r in zip(term.coeffs, ratios))
+        den = math.prod((p - Fraction(r) for r in term.roots if Fraction(r) != p),
+                        start=Fraction(1))
         if term.lattice is not None:
             m = _as_fraction(term.lattice[1])
             den *= (_as_fraction(term.lattice[0]) ** k if k != 0 else Fraction(1)) - m
@@ -150,42 +138,29 @@ def residue_exact(form: MeromorphicForm, pole: int | Fraction) -> Fraction:
     return total
 
 
-def _lattice_points(term: ZetaTerm, w: Window) -> list[complex]:
-    q, m = float(term.lattice[0]), float(term.lattice[1])
-    lq = math.log(q)
-    dline = math.log(m) / lq
-    if not (w.sigma_left - 1e-12 <= dline <= w.sigma_right + 1e-12):
-        return []
-    spacing = 2.0 * math.pi / lq
-    kmax = int(math.floor(w.tau_max / spacing + 1e-12))
-    return [dline + 1j * spacing * k for k in range(-kmax, kmax + 1)]
+# residues at most this (relative to the sum of their absolute values) are zero
+_RESIDUE_FLOOR = 1e-12
 
 
-def poles(form: MeromorphicForm, w: Window, residue_floor: float = 1e-12) -> list[PoleDatum]:
+def poles(form: MeromorphicForm, w: Window) -> list[PoleDatum]:
     """All poles of the form inside the window, with residues, sorted by
-    (Re, Im).  Candidates whose residues cancel across terms are dropped as
-    removable.
+    (Re, Im).
+
+    Each term gives its residues at its own poles in the window once; poles
+    that several terms share are merged and their residues summed, and those
+    whose residues cancel across terms are dropped as removable.
     """
-    cands: list[complex] = []
-    for term in form.terms:
-        for r in term.roots:
-            rf = float(r)
-            if w.contains(complex(rf)):
-                cands.append(complex(rf))
-        if term.lattice is not None:
-            cands.extend(pt for pt in _lattice_points(term, w) if w.contains(pt))
-    merged: list[complex] = []
-    for c in sorted(cands, key=lambda z: (z.real, z.imag)):
-        if not merged or abs(c - merged[-1]) > _MATCH_TOL:
-            merged.append(c)
-    out: list[PoleDatum] = []
-    for omega in merged:
-        res = residue_analytic(form, omega)
-        gross = sum(abs(_term_residue_at(t, omega)) for t in form.terms)
-        if abs(res) <= residue_floor * max(1.0, gross):
-            continue  # removable (residues cancel)
-        out.append(PoleDatum(omega=omega, order=1, residue=res))
-    return out
+    where, res = _residues(form, -w.tau_max, w.tau_max, w.contains)
+    if not len(where):
+        return []
+    order = np.lexsort((where.imag, where.real))
+    where, res = where[order], res[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.abs(np.diff(where)) > _MATCH_TOL)))
+    total = np.add.reduceat(res, starts)
+    gross = np.add.reduceat(np.abs(res), starts)
+    live = np.abs(total) > _RESIDUE_FLOOR * np.maximum(1.0, gross)
+    return [PoleDatum(omega=complex(o), order=1, residue=complex(r))
+            for o, r in zip(where[starts][live], total[live])]
 
 
 def residue_contour(f: Callable[[complex], complex], omega: complex, radius: float,

@@ -40,10 +40,13 @@ class TubeFormulaReport:
     t: float
     truncation_k: int
     formula_value: float
-    oracle_value: float | None
-    abs_error: float | None
+    oracle_value: float
     imag_residual: float
     term_magnitudes: tuple[float, ...]
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.formula_value - self.oracle_value)
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,7 @@ def _lattice_truncation(pole_data: Sequence[PoleDatum]) -> int:
 
 
 def truncated_tube(desc: SetDescriptor, t: float, window: Window,
-                   full: bool = False, delta: float | None = None,
-                   with_oracle: bool = True) -> TubeFormulaReport:
+                   full: bool = False, delta: float | None = None) -> TubeFormulaReport:
     """Tube volume via residues of the distance zeta over poles in ``window``.
 
     Compares against the exact geometric tube volume (the hole-sum oracle).
@@ -99,13 +101,10 @@ def truncated_tube(desc: SetDescriptor, t: float, window: Window,
     form = zeta.catalog_form(desc, full=full, delta=delta)
     pole_data = spectrum.poles(form, window)
     total, mags = _formula_sum(pole_data, desc.ambient_dim, t, tube_zeta_residues=False)
-    oracle = geometry.tube_volume(desc, t, full=full) if with_oracle else None
-    err = abs(total.real - oracle) if oracle is not None else None
     return TubeFormulaReport(
-        t=t, truncation_k=_lattice_truncation(pole_data),
-        formula_value=float(total.real), oracle_value=oracle, abs_error=err,
-        imag_residual=abs(total.imag), term_magnitudes=tuple(mags),
-    )
+        t=t, truncation_k=_lattice_truncation(pole_data), formula_value=float(total.real),
+        oracle_value=geometry.tube_volume(desc, t, full=full), imag_residual=abs(total.imag),
+        term_magnitudes=tuple(mags))
 
 
 def tube_pole_data(desc: SetDescriptor, window: Window, full: bool = False,
@@ -132,13 +131,10 @@ def tube_via_tubezeta(desc: SetDescriptor, t: float, window: Window,
         raise ValueError("t must be positive")
     pole_data = tube_pole_data(desc, window, full=full, delta=delta)
     total, mags = _formula_sum(pole_data, desc.ambient_dim, t, tube_zeta_residues=True)
-    oracle = geometry.tube_volume(desc, t, full=full)
     return TubeFormulaReport(
-        t=t, truncation_k=_lattice_truncation(pole_data),
-        formula_value=float(total.real), oracle_value=oracle,
-        abs_error=abs(total.real - oracle), imag_residual=abs(total.imag),
-        term_magnitudes=tuple(mags),
-    )
+        t=t, truncation_k=_lattice_truncation(pole_data), formula_value=float(total.real),
+        oracle_value=geometry.tube_volume(desc, t, full=full), imag_residual=abs(total.imag),
+        term_magnitudes=tuple(mags))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +142,11 @@ def tube_via_tubezeta(desc: SetDescriptor, t: float, window: Window,
 
 
 _GEN_SHAPES = {"interval": 1, "square": 2, "cube": 3}
+_WORD_CAP = 10**7  # most generator copies wider than 2t that the oracle enumerates
 
 
 def spray_tube_oracle(gen_kind: str, side: float, ratios: Sequence[float],
-                      t: float, word_cap: int = 10**7) -> float:
+                      t: float) -> float:
     """Exact inner tube volume of the spray by word enumeration.
 
     Copies of the generator carry scales side·Π r_{w_i} over all finite words
@@ -170,14 +167,12 @@ def spray_tube_oracle(gen_kind: str, side: float, ratios: Sequence[float],
     # enumerate words with scale side·Πr > 2t (finite since all r < 1)
     big_sides: list[float] = []
     stack = [side]
-    count = 0
     while stack:
         cur = stack.pop()
         if cur <= threshold:
             continue
         big_sides.append(cur)
-        count += 1
-        if count > word_cap:
+        if len(big_sides) > _WORD_CAP:
             raise RuntimeError("word enumeration exceeded the configured cap")
         for r in rs:
             stack.append(cur * r)
@@ -187,7 +182,7 @@ def spray_tube_oracle(gen_kind: str, side: float, ratios: Sequence[float],
 
 
 def spray_tube(gen_kind: str, side: float, ratios: Sequence[float], t: float,
-               window: Window, word_cap: int = 10**7) -> TubeFormulaReport:
+               window: Window) -> TubeFormulaReport:
     """Truncated tube formula for a self-similar spray, with enumeration oracle.
 
     Terms combine the scaling roots (poles of 1/(1-Σ r^s), residues from
@@ -200,7 +195,7 @@ def spray_tube(gen_kind: str, side: float, ratios: Sequence[float], t: float,
     if gen_kind not in _GEN_SHAPES:
         raise ValueError("generator kind must be interval, square, or cube")
     n = _GEN_SHAPES[gen_kind]
-    gen_form = MeromorphicForm((zeta._row_term(n, n, -(-2) ** n, side),))
+    gen_form = MeromorphicForm((zeta._row_term(n, n, (-(-2) ** n,), (side,)),))
     rs = np.asarray(ratios, dtype=float)
     if float(np.sum(rs**n)) >= 1.0:
         raise ValueError("total spray volume diverges: Σ r^N >= 1")
@@ -226,20 +221,18 @@ def spray_tube(gen_kind: str, side: float, ratios: Sequence[float], t: float,
         total += term
         mags.append(abs(term))
 
-    oracle = spray_tube_oracle(gen_kind, side, ratios, t, word_cap=word_cap)
     return TubeFormulaReport(
         t=t, truncation_k=len(scaling), formula_value=float(total.real),
-        oracle_value=oracle, abs_error=abs(total.real - oracle),
-        imag_residual=abs(total.imag), term_magnitudes=tuple(mags),
-    )
+        oracle_value=spray_tube_oracle(gen_kind, side, ratios, t),
+        imag_residual=abs(total.imag), term_magnitudes=tuple(mags))
 
 
 # ---------------------------------------------------------------------------
 # measurability
 
 
-def measurability_check(principal_poles: Sequence[PoleDatum], dim: float,
-                        residue_floor: float = 1e-12) -> MeasurabilityVerdict:
+def measurability_check(principal_poles: Sequence[PoleDatum],
+                        dim: float) -> MeasurabilityVerdict:
     """Minkowski measurability from the principal complex dimensions.
 
     Nonreal poles on the critical line Re s = D with nonvanishing residues
@@ -252,7 +245,7 @@ def measurability_check(principal_poles: Sequence[PoleDatum], dim: float,
     for p in principal_poles:
         if abs(p.omega.real - dim) > 1e-9:
             raise ValueError(f"pole {p.omega} is not on the critical line Re s = {dim}")
-        if abs(p.residue) <= residue_floor:
+        if abs(p.residue) <= spectrum._RESIDUE_FLOOR:
             continue
         if abs(p.omega.imag) > 1e-12:
             oscillatory.append(p)

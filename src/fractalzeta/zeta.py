@@ -2,9 +2,9 @@
 
 The closed forms are finite combinations of elementary terms
 
-    coeff * scale^s / ( base^s * Π_i (s - r_i) * (q^s - m) )
+    Σ_i coeffs_i (scales_i / base)^s / ( Π_j (s - r_j) * (q^s - m) )
 
-collected in a ``MeromorphicForm``, one per hole row (``_row_term``).  All of
+collected in a ``MeromorphicForm``, one per row degree (``_row_term``).  All of
 it is cross-checkable against the geometric oracles in :mod:`fractalzeta.geometry`:
 quadrature of the tube integral, Monte Carlo of the distance integral, and the
 functional equation tie the three routes together.
@@ -67,36 +67,44 @@ class NonconvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ZetaTerm:
-    """coeff * scale^s / (base^s * Π (s - r) * (q^s - m)).
+    """Σ_i coeffs_i·(scales_i/base)^s / (Π (s - r)·(q^s - m)): one denominator
+    over a sum of exponentials.
 
     ``lattice = (q, m)`` contributes the factor (q^s - m); q > 1, m > 0.
     Exact (int/Fraction) field values enable exact residue arithmetic.
     """
 
-    coeff: Numeric
+    coeffs: tuple[Numeric, ...]
+    scales: tuple[Numeric, ...] = (1,)
     base: Numeric = 1
-    scale: Numeric = 1
     roots: tuple[Numeric, ...] = ()
     lattice: tuple[Numeric, Numeric] | None = None
 
     def __post_init__(self) -> None:
-        if float(self.base) <= 0 or float(self.scale) <= 0:
-            raise ValueError("base and scale must be positive")
+        if not self.coeffs or len(self.coeffs) != len(self.scales):
+            raise ValueError("a term needs one scale per coefficient")
+        if float(self.base) <= 0 or min(float(x) for x in self.scales) <= 0:
+            raise ValueError("base and scales must be positive")
         rs = [float(r) for r in self.roots]
-        if len(set(rs)) != len(rs):
-            raise ValueError("repeated denominator roots (higher-order poles) are not supported")
         if self.lattice is not None:
             q, m = self.lattice
             if float(q) <= 1 or float(m) <= 0:
                 raise ValueError("lattice factor needs q > 1, m > 0")
+            rs.append(math.log(float(m)) / math.log(float(q)))  # the lattice's real point
+        if len(set(rs)) != len(rs):
+            raise ValueError("repeated denominator roots (higher-order poles) are not supported")
 
-    @property
-    def log_ratio(self) -> float:
-        """ln(scale) - ln(base)."""
-        return math.log(float(self.scale)) - math.log(float(self.base))
+    @functools.cached_property
+    def _floats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coefficients, ln(scale) - ln(base) and the roots as float arrays."""
+        return (np.array(self.coeffs, dtype=float),
+                np.array([math.log(float(x)) - math.log(float(self.base)) for x in self.scales]),
+                np.array(self.roots, dtype=float))
 
-    def numerator(self, s: complex) -> complex:
-        return float(self.coeff) * np.exp(s * self.log_ratio)
+    def numerator(self, s):
+        """Σ_i coeffs_i·(scales_i/base)^s, elementwise over an array of s."""
+        coeffs, log_ratios, _ = self._floats
+        return (coeffs * np.exp(np.multiply.outer(s, log_ratios))).sum(axis=-1)
 
     def value(self, s: complex) -> complex:
         den: complex = 1.0
@@ -107,16 +115,22 @@ class ZetaTerm:
             den *= np.exp(s * math.log(q)) - m
         return self.numerator(s) / den
 
-    def pole_distance(self, s: complex) -> float:
-        """Distance from s to the nearest pole of this term."""
-        dists = [abs(s - float(r)) for r in self.roots]
-        if self.lattice is not None:
-            q, m = float(self.lattice[0]), float(self.lattice[1])
-            lq = math.log(q)
-            dline = math.log(m) / lq
-            k = round(s.imag * lq / (2.0 * math.pi))
-            dists.append(abs(s - (dline + 2j * math.pi * k / lq)))
-        return min(dists) if dists else math.inf
+    def poles(self, tau_lo: float, tau_hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Where this term's poles are: its roots, and with a lattice factor
+        the points log_q m + 2πik/ln q from the one nearest Im s = tau_lo to
+        the one nearest Im s = tau_hi (so tau_lo = tau_hi = Im s gives the
+        lattice point nearest s)."""
+        roots = self._floats[2]
+        if self.lattice is None:
+            return roots, np.empty(0, dtype=complex)
+        q, m = float(self.lattice[0]), float(self.lattice[1])
+        spacing = 2.0 * math.pi / math.log(q)
+        k = np.arange(round(tau_lo / spacing), round(tau_hi / spacing) + 1)
+        return roots, math.log(m) / math.log(q) + 1j * spacing * k
+
+
+# closed forms refuse evaluation this close to one of their poles
+_POLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,17 +143,19 @@ class MeromorphicForm:
         if not self.terms:
             raise ValueError("a form needs at least one term")
 
-    def value(self, s: complex, pole_tol: float = 1e-9) -> complex:
-        """Evaluate at s; refuses evaluation within ``pole_tol`` of a pole."""
+    def value(self, s: complex) -> complex:
+        """Evaluate at s; refuses evaluation within ``_POLE_TOL`` of a pole."""
         s = complex(s)
-        if pole_tol > 0 and self.pole_distance(s) < pole_tol:
-            raise ValueError(f"evaluation within {pole_tol:g} of a pole of the closed form")
+        if self.pole_distance(s) < _POLE_TOL:
+            raise ValueError(f"evaluation within {_POLE_TOL:g} of a pole of the closed form")
         return complex(sum(t.value(s) for t in self.terms))
 
     __call__ = value
 
     def pole_distance(self, s: complex) -> float:
-        return min(t.pole_distance(s) for t in self.terms)
+        """Distance from s to the nearest pole of any term."""
+        return min((abs(s - p) for t in self.terms for poles in t.poles(s.imag, s.imag)
+                    for p in poles.tolist()), default=math.inf)
 
     def plus(self, other: "MeromorphicForm") -> "MeromorphicForm":
         return MeromorphicForm(self.terms + other.terms)
@@ -147,35 +163,37 @@ class MeromorphicForm:
     def scaled_copy(self, lam: Numeric) -> "MeromorphicForm":
         """The form of the λ-homothety: every scale multiplied by λ (value × λ^s)."""
         return MeromorphicForm(tuple(
-            ZetaTerm(t.coeff, t.base, t.scale * lam, t.roots, t.lattice) for t in self.terms
-        ))
+            replace(t, scales=tuple(x * lam for x in t.scales)) for t in self.terms))
 
 
 # --- catalog constructors ---------------------------------------------------
 
 
-def _row_term(n: int, k: int, top: Numeric, width: Numeric) -> ZetaTerm:
-    """A row of holes of width 2ρ covering h(t) = h(ρ)(1 - (1 - t/ρ)^k) within t
-    of their boundary, c_k = ``top`` its coefficient of t^k: ∫_0^ρ t^{s-N} h'(t) dt
-    is the Beta term k!·(-1)^{k+1}·c_k·ρ^{k-N}·(2ρ/2)^s / Π_{j=1..k} (s - N + j).
-    An N-cube of side g has k = N, c_N = -(-2)^N: N!·2^N (g/2)^s / Π_{j<N} (s - j)."""
-    coeff = math.factorial(k) * (-1) ** (k + 1) * top * (width / 2) ** (k - n)
-    return ZetaTerm(coeff=coeff, base=2, scale=width, roots=tuple(range(n - k, n)))
+def _row_term(n: int, k: int, tops, widths) -> ZetaTerm:
+    """Rows of holes of widths 2ρ = ``widths`` covering h(t) = h(ρ)(1 - (1 - t/ρ)^k)
+    within t of their boundary, c_k = ``tops`` their coefficients of t^k: row by
+    row, ∫_0^ρ t^{s-N} h'(t) dt = k!·(-1)^{k+1}·c_k·ρ^{k-N}·(2ρ/2)^s over the
+    one denominator Π_{j=1..k} (s - N + j).  An N-cube of side g has k = N,
+    c_N = -(-2)^N: N!·2^N (g/2)^s / Π_{j<N} (s - j)."""
+    widths = np.asarray(widths)
+    coeffs = math.factorial(k) * (-1) ** (k + 1) * np.asarray(tops) * (widths / 2) ** (k - n)
+    return ZetaTerm(coeffs=tuple(coeffs.tolist()), base=2, scales=tuple(widths.tolist()),
+                    roots=tuple(range(n - k, n)))
 
 
 def interval_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂I, I) for an interval of length ``side``: 2 (side/2)^s / s."""
-    return MeromorphicForm((_row_term(1, 1, 2, side),))
+    return MeromorphicForm((_row_term(1, 1, (2,), (side,)),))
 
 
 def square_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂Q, Q) for a square: 8 (side/2)^s / (s(s-1))."""
-    return MeromorphicForm((_row_term(2, 2, -4, side),))
+    return MeromorphicForm((_row_term(2, 2, (-4,), (side,)),))
 
 
 def cube_generator(side: Numeric = 1) -> MeromorphicForm:
     """Relative zeta of (∂C, C) for a cube: 48 (side/2)^s / (s(s-1)(s-2))."""
-    return MeromorphicForm((_row_term(3, 3, 8, side),))
+    return MeromorphicForm((_row_term(3, 3, (8,), (side,)),))
 
 
 def _collar_form(desc: SetDescriptor, delta: float) -> MeromorphicForm:
@@ -184,7 +202,7 @@ def _collar_form(desc: SetDescriptor, delta: float) -> MeromorphicForm:
     Σ_j c_j t^j is Σ_j j·c_j δ^{s-N+j}/(s - (N - j))."""
     n = desc.ambient_dim
     return MeromorphicForm(tuple(
-        ZetaTerm(j * c * delta ** (j - n), scale=delta, roots=(n - j,))
+        ZetaTerm((j * c * delta ** (j - n),), scales=(delta,), roots=(n - j,))
         for j, c in enumerate(geometry._collar_coeffs(desc), start=1)))
 
 
@@ -192,31 +210,41 @@ def catalog_form(desc: SetDescriptor, full: bool = False,
                  delta: float | None = None) -> MeromorphicForm:
     """Closed form of the distance zeta of a catalog descriptor.
 
-    Relative (default): ζ_A(s, Ω), one Beta term per row of the hole table
-    (``_row_term``), whatever the holes' shape, with the levels of a ladder's
-    family summed into the lattice factor q^s/(q^s - m), q = 1/a.  The
-    infinite a-string (truncated table) and the flat drum (no holes) have none.
+    Relative (default): ζ_A(s, Ω), one Beta term per row degree of the hole
+    table (``_row_term``) whatever the holes' shape, plus one for a ladder's
+    family, whose levels sum into the lattice factor q^s/(q^s - m), q = 1/a.
+    The infinite a-string (truncated table) and the flat drum (no holes) have none.
     ``full``: ζ_A(s, A_δ), which requires δ >= the saturation threshold so
-    that Ω ⊆ A_δ; the outside collar is then a Steiner polynomial and the
-    form stays exact.  Each form is built once per ``(desc, full, delta)``.
+    that Ω ⊆ A_δ; the outside collar is then a Steiner polynomial, one term
+    per power, and the form stays exact.  Each form is built once per
+    ``(desc, full, delta)``.
     """
     return _catalog_form(desc, full, delta if full else None)
 
 
 @functools.lru_cache(maxsize=256)
 def _catalog_form(desc: SetDescriptor, full: bool, delta: float | None) -> MeromorphicForm:
-    if geometry._truncated(desc):
+    try:
+        holes = None if geometry._truncated(desc) else geometry._hole_table(desc, math.inf)
+    except ValueError:  # the flat drum has no holes
+        holes = None
+    if holes is None:
         raise ValueError(f"no closed zeta form for kind {desc.kind!r}")
-    holes = geometry._hole_table(desc, math.inf)
+    n = desc.ambient_dim
     degrees = geometry._degrees(holes.coeffs)
     # a row of cubes has c_N = count·(±2^N), exact in floats
     tops = holes.counts * holes.coeffs[np.arange(len(degrees)), degrees - 1]
-    terms = [_row_term(desc.ambient_dim, k, c, 2.0 * rho)
-             for k, c, rho in zip(degrees.tolist(), tops.tolist(), holes.radii.tolist())]
+    widths = 2.0 * holes.radii
+    last = len(degrees) - (holes.ratios is not None)  # a ladder's family head is the last row
+    terms = []
+    for k in sorted(set(degrees[:last].tolist())):
+        rows = np.flatnonzero(degrees[:last] == k)
+        terms.append(_row_term(n, k, tops[rows], widths[rows]))
     if holes.ratios is not None:
         m, a = holes.ratios
         q = 1.0 / a
-        terms[-1] = replace(terms[-1], scale=terms[-1].scale * q, lattice=(q, m))
+        head = _row_term(n, int(degrees[-1]), tops[-1:], widths[-1:])
+        terms.append(replace(head, scales=(head.scales[0] * q,), lattice=(q, m)))
     rel = MeromorphicForm(tuple(terms))
     if not full:
         return rel
@@ -753,7 +781,7 @@ def _hole_integral_coeff(n: int, sigma: float) -> float:
     """
     if sigma <= n - 1:
         return math.inf
-    return float(_row_term(n, n, -(-2) ** n, 1).value(sigma).real)
+    return float(_row_term(n, n, (-(-2) ** n,), (1,)).value(sigma).real)
 
 
 def _ladder_log_blocks(desc: SetDescriptor, sigma: float, levels: int) -> np.ndarray:

@@ -188,7 +188,8 @@ def test_zeta_mc_with_infinite_variance_exits_2(capsys):
 
 def test_zeta_closed_unavailable_for_flat_drum(capsys):
     assert run(["zeta", "--set", "flat", "--re", "1.5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "no closed zeta form for kind 'flatDrum'" in err
 
 
 # scipy is a test dependency only: with it blocked, every import of it raises

@@ -46,9 +46,18 @@ def test_cantor_exact_residue_at_zero():
 
 
 def test_residue_exact_rejects_non_integer_pole():
-    form = zeta.MeromorphicForm((zeta.ZetaTerm(coeff=1, roots=(Fraction(1, 2),)),))
+    form = zeta.MeromorphicForm((zeta.ZetaTerm(coeffs=(1,), roots=(Fraction(1, 2),)),))
     with pytest.raises(ValueError):
         residue_exact(form, Fraction(1, 2))
+
+
+def test_residues_sum_the_numerator_over_scales():
+    # (1·(1/2 / 2)^s + 3·(4/2)^s) / (s(s - 1)) has residue 1/4 + 6 at s = 1
+    term = zeta.ZetaTerm(coeffs=(1, 3), scales=(Fraction(1, 2), 4), base=2, roots=(0, 1))
+    form = zeta.MeromorphicForm((term,))
+    assert residue_exact(form, 1) == Fraction(25, 4)
+    assert residue_exact(form, 0) == -4
+    assert residue_analytic(form, 1.0) == pytest.approx(6.25, rel=1e-15)
 
 
 def test_residue_exact_is_zero_off_poles():

@@ -455,25 +455,56 @@ def test_closed_form_on_nest_and_custom_string_matches_mpmath(name, lam, s):
     assert abs(distance_zeta_closed(desc, s) - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("lam", [1.0, 1.7])
-def test_nest_poles_and_residues(lam):
+@pytest.mark.parametrize("lam, big_k, full", [
+    pytest.param(1.0, 40, False, id="1.0"),
+    pytest.param(1.7, 40, False, id="1.7"),
+    pytest.param(1.7, 1000, False, id="K1000-1.7"),
+    pytest.param(1.0, 40, True, id="full-1.0"),
+    pytest.param(1.7, 1000, True, id="K1000-full-1.7"),
+])
+def test_nest_poles_and_residues(lam, big_k, full):
     # the centre disk gives 2π r^s/(s(s - 1)) and annulus k gives
     # 2π(r_k + r_{k+1}) ρ^{s-1}/(s - 1): poles 0 and 1 only, with residues
-    # -2π and λ(2π r_1 + 4π Σ_{k>=2} r_k)
-    desc = geometry.scaled(geometry.fractal_nest(0.5, 40), lam)
-    got = spectrum.poles(catalog_form(desc), spectrum.Window(-2.5, 1.99, 30.0))
-    assert [p.omega for p in got] == [0.0, 1.0]
+    # -2π and λ(2π r_1 + 4π Σ_{k>=2} r_k).  The full form adds the collar
+    # 2πλ δ^{s-1}/(s - 1) + 2π δ^s/s on the same roots: its residues are
+    # summed in, so 0 is removable and 1 takes 2πλ more
+    desc = geometry.scaled(geometry.fractal_nest(0.5, big_k), lam)
+    form = catalog_form(desc, full=full, delta=1.0)
+    got = spectrum.poles(form, spectrum.Window(-2.5, 1.99, 30.0))
     with mp.workdps(30):
-        radii = [mp.power(k, -mp.mpf(1) / 2) for k in range(1, 41)]
-        res_one = complex(lam * (2 * mp.pi * radii[0] + 4 * mp.pi * mp.fsum(radii[1:])))
-    assert got[0].residue == pytest.approx(-2.0 * math.pi, rel=1e-14)
-    assert abs(got[1].residue - res_one) <= 1e-12 * abs(res_one)
+        radii = [mp.power(k, -mp.mpf(1) / 2) for k in range(1, big_k + 1)]
+        res_one = complex(lam * (2 * mp.pi * radii[0] + 4 * mp.pi * mp.fsum(radii[1:])
+                                 + (2 * mp.pi if full else 0)))
+    if full:
+        assert [p.omega for p in got] == [1.0]
+    else:
+        assert [p.omega for p in got] == [0.0, 1.0]
+        assert got[0].residue == pytest.approx(-2.0 * math.pi, rel=1e-14)
+    assert abs(got[-1].residue - res_one) <= 1e-12 * abs(res_one)
+
+
+def test_catalog_form_has_one_term_per_denominator():
+    # rows of one degree share a term; a ladder's family and each power of
+    # the collar have their own
+    def count(desc, full=False):
+        delta = geometry.saturation_threshold(desc) if full else None
+        return len(catalog_form(desc, full=full, delta=delta).terms)
+
+    nest = geometry.fractal_nest(0.5, 1000)
+    assert (count(nest), count(nest, full=True)) == (2, 4)
+    assert count(geometry.a_string_set(1.5, 40)) == 1
+    assert count(geometry.string_set(_CUSTOM)) == 1
+    for desc, counts in ((geometry.cantor_set(2, 1 / 3), (1, 2)),
+                         (geometry.cantor_set(5, 0.1), (1, 2)),
+                         (geometry.carpet(2), (1, 3)), (geometry.carpet(3), (1, 4)),
+                         (geometry.box_boundary(1), (1, 2)), (geometry.box_boundary(4), (1, 5))):
+        assert (count(desc), count(desc, full=True)) == counts
 
 
 def test_catalog_form_rejects_kinds_without_closed_form():
-    with pytest.raises(ValueError):
-        catalog_form(geometry.flat_drum())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no closed zeta form"):
+        catalog_form(geometry.flat_drum())  # no holes
+    with pytest.raises(ValueError, match="no closed zeta form"):
         catalog_form(geometry.a_string_set(1.0))  # infinite string: no rational form
 
 
@@ -599,7 +630,7 @@ def test_spray_zeta_validation():
 
 
 def test_zeta_term_value_and_poles():
-    term = ZetaTerm(coeff=2.0, roots=(0.0,), lattice=(3.0, 2.0), scale=1 / 6)
+    term = ZetaTerm(coeffs=(2.0,), roots=(0.0,), lattice=(3.0, 2.0), scales=(1 / 6,))
     form = MeromorphicForm((term,))
     s = 0.9 + 0.4j
     expected = 2.0 * (1 / 6) ** s / (s * (3.0 ** s - 2.0))
@@ -612,11 +643,15 @@ def test_zeta_term_value_and_poles():
 
 def test_zeta_term_validation():
     with pytest.raises(ValueError):
-        ZetaTerm(coeff=1.0, roots=(1.0, 1.0))
+        ZetaTerm(coeffs=(1.0,), roots=(1.0, 1.0))
     with pytest.raises(ValueError):
-        ZetaTerm(coeff=1.0, lattice=(0.9, 2.0))  # needs q > 1
+        ZetaTerm(coeffs=(1.0,), lattice=(0.9, 2.0))  # needs q > 1
     with pytest.raises(ValueError):
-        ZetaTerm(coeff=1.0, base=0.0)
+        ZetaTerm(coeffs=(1.0,), base=0.0)
+    with pytest.raises(ValueError):
+        ZetaTerm(coeffs=(1.0, 2.0), scales=(1.0,))  # one scale per coefficient
+    with pytest.raises(ValueError):
+        ZetaTerm(coeffs=(1.0,), roots=(1.0,), lattice=(3.0, 3.0))  # a root on the lattice line
 
 
 def test_form_scaled_copy_matches_scaled_catalog():
