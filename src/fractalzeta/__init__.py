@@ -68,8 +68,6 @@ from .tubeformula import (
     spray_tube,
     spray_tube_oracle,
     truncated_tube,
-    tube_pole_data,
-    tube_via_tubezeta,
 )
 from .zeta import (
     HPReport,
@@ -111,8 +109,7 @@ __all__ = [
     "PoleDatum", "Window", "fourier_residues", "poles", "residue_analytic",
     "residue_contour", "residue_exact", "spray_dims", "window_for_lattice",
     "MeasurabilityVerdict", "TubeFormulaReport", "measurability_check",
-    "spray_tube", "spray_tube_oracle", "truncated_tube", "tube_pole_data",
-    "tube_via_tubezeta",
+    "spray_tube", "spray_tube_oracle", "truncated_tube",
     "HPReport", "MeromorphicForm", "NonconvergenceError", "ZetaEstimate",
     "ZetaTerm", "abscissa_of", "abscissa_scan", "catalog_form",
     "cube_generator", "distance_zeta_closed", "distance_zeta_mc",

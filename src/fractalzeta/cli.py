@@ -229,12 +229,7 @@ def _cmd_tubeformula(args: argparse.Namespace) -> int:
                        (args.kmax + 0.5) * 2.0 * math.pi / period)
         else:
             w = Window(-0.5, desc.ambient_dim - 0.01, 60.0)
-        if args.route == "tube":
-            rep = tubeformula.tube_via_tubezeta(desc, args.t, w, full=args.full,
-                                                delta=args.delta)
-        else:
-            rep = tubeformula.truncated_tube(desc, args.t, w, full=args.full,
-                                             delta=args.delta)
+        rep = tubeformula.truncated_tube(desc, args.t, w, full=args.full, delta=args.delta)
         source = args.set
     payload = {
         "artifact": "tubeformula", "source": source, "t": rep.t,
@@ -372,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--kmax", type=int, default=50, help="lattice truncation |k| <= kmax")
-    p.add_argument("--route", choices=("distance", "tube"), default="distance")
     p.add_argument("--window", help="sigmaLeft:sigmaRight:tauMax (overrides --kmax)")
     p.add_argument("--full", action="store_true")
     p.add_argument("--delta", type=float)

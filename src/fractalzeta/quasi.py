@@ -1,9 +1,9 @@
 """Quasiperiodic and hyperfractal constructions from ternary-set components.
 
-Everything here reduces to exact arithmetic: rational independence of
-logarithms of integers is decided through prime exponent vectors and integer
-row reduction, ordinate collisions through integer power identities, and
-merged strings through Fraction-valued lengths.
+Rational independence of logarithms of integers is decided exactly, through
+prime exponent vectors and integer row reduction, and merged strings carry
+Fraction-valued lengths.  Complex dimensions on the critical line are the
+poles of the union's closed form, whose components' shared poles merge.
 """
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import geometry
+from . import geometry, spectrum, zeta
 from .geometry import FractalString, SetDescriptor
+from .spectrum import PoleDatum, Window
 
 __all__ = [
     "ExponentVector",
@@ -154,15 +155,20 @@ class QPReport:
 
 
 def _check_multiplicative_independence(ms: Sequence[int]) -> None:
-    vecs = [exponent_vector(m) for m in ms]
-    support = sorted({p for v in vecs for p in v.primes})
-    rows = [v.on_support(support) for v in vecs]
-    relation = find_relation(rows)
+    relation = find_relation([exponent_vector(m) for m in ms])
     if relation is not None:
         terms = " · ".join(f"{m}^({c})" for m, c in zip(ms, relation) if c != 0)
         raise DependenceError(
             f"log {ms} are rationally dependent: {terms} = 1; "
             "the quasiperiods would be commensurable", relation)
+
+
+def _critical_poles(descs: Sequence[SetDescriptor], dim: float,
+                    band: float) -> list[PoleDatum]:
+    """Poles of the union's zeta on Re s = dim with |Im s| <= band, sorted by
+    Im: the components' closed forms summed, so a shared pole appears once."""
+    form = zeta.MeromorphicForm(sum((zeta.catalog_form(d).terms for d in descs), ()))
+    return spectrum.poles(form, Window(dim, dim, band))
 
 
 def two_qp_set(m1: int, m2: int, dim: float, band: float = 20.0) -> QPReport:
@@ -186,16 +192,10 @@ def two_qp_set(m1: int, m2: int, dim: float, band: float = 20.0) -> QPReport:
     d2 = geometry.cantor_set(m2, a2)
     t1 = math.log(1.0 / a1)
     t2 = math.log(1.0 / a2)
-    p1 = 2.0 * math.pi / t1
-    p2 = 2.0 * math.pi / t2
-    upper = sorted({n * p1 for n in range(1, int(band / p1) + 1)}
-                   | {n * p2 for n in range(1, int(band / p2) + 1)})
-    ordinates = [-tau for tau in reversed(upper)] + [0.0] + upper
-    principal = tuple(complex(dim, tau) for tau in ordinates)
     return QPReport(
         dim=dim, bases=(m1, m2), ratios=(a1, a2), quasiperiods=(t1, t2),
-        oscillatory_periods=(p1, p2), descriptors=(d1, d2),
-        principal_dims=principal,
+        oscillatory_periods=(2.0 * math.pi / t1, 2.0 * math.pi / t2), descriptors=(d1, d2),
+        principal_dims=tuple(p.omega for p in _critical_poles((d1, d2), dim, band)),
         independence="quasiperiod ratio log m2 / log m1 irrational by prime "
                      "exponent independence; algebraic independence asserted "
                      "by the transcendence theory of logarithms",
@@ -254,33 +254,11 @@ def _merge_strings(strings: Sequence[FractalString]) -> FractalString:
 
 def ordinate_min_gap(bases: Sequence[int], dim: float, band: float) -> float:
     """Smallest gap between distinct singularity ordinates n·2πD/ln(m_k) in
-    [0, band].  Coincidences are removed exactly (m_i^{n_j} = m_j^{n_i})."""
-    reps: list[tuple[int, int]] = [(0, 0)]  # (index, multiple); 0 shared once
-    for i, m in enumerate(bases):
-        p = 2.0 * math.pi * dim / math.log(m)
-        for nn in range(1, int(band / p + 1e-9) + 1):
-            reps.append((i, nn))
-    # exact dedupe: ordinates i/n and j/q collide iff m_j^n = m_i^q
-    distinct: list[tuple[int, int]] = []
-    for i, nn in reps:
-        dup = False
-        for jj, qq in distinct:
-            if nn == 0 and qq == 0:
-                dup = True
-                break
-            if nn > 0 and qq > 0 and bases[jj] ** nn == bases[i] ** qq:
-                dup = True
-                break
-        if not dup:
-            distinct.append((i, nn))
-    vals = np.array(sorted(
-        float(np.longdouble(2.0) * np.longdouble(math.pi) * np.longdouble(dim)
-              * nn / np.log(np.longdouble(bases[i]))) if nn else 0.0
-        for i, nn in distinct))
-    gaps = np.diff(vals)
-    if not np.all(gaps > 0):
-        raise RuntimeError("ordinates deduplication failed")
-    return float(gaps.min())
+    [-band, band]: the poles on Re s = dim of the union of the C(m, m^{-1/dim}),
+    where coinciding ordinates (m_i^{n_j} = m_j^{n_i}) are one pole."""
+    descs = [geometry.cantor_set(m, float(m) ** (-1.0 / dim)) for m in bases]
+    taus = np.array([p.omega.imag for p in _critical_poles(descs, dim, band)])
+    return float(np.diff(taus).min())
 
 
 def hyperfractal_truncation(dim: float, k: int,

@@ -144,16 +144,21 @@ _RESIDUE_FLOOR = 1e-12
 
 def poles(form: MeromorphicForm, w: Window) -> list[PoleDatum]:
     """All poles of the form inside the window, with residues, sorted by
-    (Re, Im).
+    (Re, Im), real parts within ``_MATCH_TOL`` counting as equal.
 
     Each term gives its residues at its own poles in the window once; poles
     that several terms share are merged and their residues summed, and those
-    whose residues cancel across terms are dropped as removable.
+    whose residues cancel across terms are dropped as removable.  Two terms
+    may place a shared pole at real parts a few ulps apart, so real parts are
+    grouped before sorting and a pole's copies meet as neighbours.
     """
     where, res = _residues(form, -w.tau_max, w.tau_max, w.contains)
     if not len(where):
         return []
-    order = np.lexsort((where.imag, where.real))
+    re = np.sort(where.real)
+    group = np.searchsorted(re[np.concatenate(([True], np.diff(re) > _MATCH_TOL))],
+                            where.real, side="right")
+    order = np.lexsort((where.imag, group))
     where, res = where[order], res[order]
     starts = np.flatnonzero(np.concatenate(([True], np.abs(np.diff(where)) > _MATCH_TOL)))
     total = np.add.reduceat(res, starts)

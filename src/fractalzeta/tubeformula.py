@@ -5,14 +5,14 @@ For the catalog drums the tube volume admits the pointwise expansion
     |A_t ∩ Ω| = Σ_ω res(ζ_A, ω) t^{N-ω} / (N-ω)
               = Σ_ω res(ζ̃_A, ω) t^{N-ω}
 
-over the complex dimensions ω; both routes are implemented and compared
-against the exact geometric tube volume.
+over the complex dimensions ω.  The formula is evaluated through the first
+form and compared against the exact geometric tube volume.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,9 +24,7 @@ from .zeta import MeromorphicForm
 __all__ = [
     "TubeFormulaReport",
     "MeasurabilityVerdict",
-    "tube_pole_data",
     "truncated_tube",
-    "tube_via_tubezeta",
     "spray_tube",
     "spray_tube_oracle",
     "measurability_check",
@@ -55,35 +53,28 @@ class MeasurabilityVerdict:
     reasons: tuple[str, ...]
 
 
-def _formula_sum(pole_data: Sequence[PoleDatum], ambient_dim: int, t: float,
-                 tube_zeta_residues: bool) -> tuple[complex, list[float]]:
-    """Σ res · t^{N-ω} / (N-ω)  (or Σ res̃ · t^{N-ω} for tube-zeta residues).
+def _report(omega: np.ndarray, residue: np.ndarray, ambient_dim: int, t: float,
+            truncation_k: int, oracle: float) -> TubeFormulaReport:
+    """Σ res(ζ_A, ω)·t^{N-ω}/(N-ω) over the poles ω, against the oracle.
 
-    Conjugate pairs are summed adjacently so the imaginary parts cancel at
-    roundoff level; the surviving imaginary part is reported for inspection.
+    Terms are summed in order of |Im ω|, so conjugate pairs meet and their
+    imaginary parts cancel at roundoff level; what survives is reported.
     """
     n = ambient_dim
-    logt = math.log(t)
-    total = 0.0 + 0.0j
-    mags: list[float] = []
-    ordered = sorted(pole_data, key=lambda p: (abs(p.omega.imag), p.omega.real, p.omega.imag))
-    for p in ordered:
-        w = p.omega
-        if abs(w - n) < 1e-12:
-            raise ValueError("pole at s = N: the expansion kernel degenerates")
-        term = p.residue * np.exp((n - w) * logt)
-        if not tube_zeta_residues:
-            term = term / (n - w)
-        total += term
-        mags.append(abs(term))
-    return total, mags
+    if np.any(np.abs(omega - n) < 1e-12):
+        raise ValueError("pole at s = N: the expansion kernel degenerates")
+    order = np.lexsort((omega.imag, omega.real, np.abs(omega.imag)))
+    omega, residue = omega[order], residue[order]
+    terms = residue * np.exp((n - omega) * math.log(t)) / (n - omega)
+    total = complex(terms.sum())
+    return TubeFormulaReport(
+        t=t, truncation_k=truncation_k, formula_value=total.real, oracle_value=oracle,
+        imag_residual=abs(total.imag), term_magnitudes=tuple(np.abs(terms).tolist()))
 
 
-def _lattice_truncation(pole_data: Sequence[PoleDatum]) -> int:
-    taus = sorted({p.omega.imag for p in pole_data if p.omega.imag > 1e-12})
-    if not taus:
-        return 0
-    return int(round(taus[-1] / taus[0]))
+def _pole_arrays(pole_data: Sequence[PoleDatum]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([p.omega for p in pole_data], dtype=complex),
+            np.array([p.residue for p in pole_data], dtype=complex))
 
 
 def truncated_tube(desc: SetDescriptor, t: float, window: Window,
@@ -95,46 +86,17 @@ def truncated_tube(desc: SetDescriptor, t: float, window: Window,
     closed form (any δ at least the saturation threshold; the formula itself
     is δ-independent).  A drum with finitely many holes is exact only below its
     smallest inradius (nest, K = 1000: error 2e-19 at t = 1e-6, 0.56 at 1e-3).
+    The truncation K is the largest ordinate over the smallest, the lattice
+    modes |k| <= K of a ladder drum.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     form = zeta.catalog_form(desc, full=full, delta=delta)
-    pole_data = spectrum.poles(form, window)
-    total, mags = _formula_sum(pole_data, desc.ambient_dim, t, tube_zeta_residues=False)
-    return TubeFormulaReport(
-        t=t, truncation_k=_lattice_truncation(pole_data), formula_value=float(total.real),
-        oracle_value=geometry.tube_volume(desc, t, full=full), imag_residual=abs(total.imag),
-        term_magnitudes=tuple(mags))
-
-
-def tube_pole_data(desc: SetDescriptor, window: Window, full: bool = False,
-                   delta: float | None = None) -> list[PoleDatum]:
-    """Poles of ζ̃ with residues res(ζ̃, ω) = res(ζ, ω)/(N-ω).
-
-    The δ-dependent entire part of ζ̃ contributes no poles, so the pole set
-    coincides with that of the distance zeta (s = N excluded).
-    """
-    form = zeta.catalog_form(desc, full=full, delta=delta)
-    n = desc.ambient_dim
-    out = []
-    for p in spectrum.poles(form, window):
-        if abs(p.omega - n) < 1e-12:
-            continue
-        out.append(PoleDatum(omega=p.omega, order=p.order, residue=p.residue / (n - p.omega)))
-    return out
-
-
-def tube_via_tubezeta(desc: SetDescriptor, t: float, window: Window,
-                      full: bool = False, delta: float | None = None) -> TubeFormulaReport:
-    """Tube volume via residues of the tube zeta: Σ res(ζ̃, ω) t^{N-ω}."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    pole_data = tube_pole_data(desc, window, full=full, delta=delta)
-    total, mags = _formula_sum(pole_data, desc.ambient_dim, t, tube_zeta_residues=True)
-    return TubeFormulaReport(
-        t=t, truncation_k=_lattice_truncation(pole_data), formula_value=float(total.real),
-        oracle_value=geometry.tube_volume(desc, t, full=full), imag_residual=abs(total.imag),
-        term_magnitudes=tuple(mags))
+    omega, residue = _pole_arrays(spectrum.poles(form, window))
+    taus = omega.imag[omega.imag > 1e-12]
+    k = int(round(taus.max() / taus.min())) if taus.size else 0
+    return _report(omega, residue, desc.ambient_dim, t, k,
+                   geometry.tube_volume(desc, t, full=full))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +107,22 @@ _GEN_SHAPES = {"interval": 1, "square": 2, "cube": 3}
 _WORD_CAP = 10**7  # most generator copies wider than 2t that the oracle enumerates
 
 
+def _spray_shape(gen_kind: str, ratios: Sequence[float], t: float) -> tuple[int, np.ndarray]:
+    """The generator's dimension N and the ratios as an array, once the spray
+    is known to have positive t, ratios in (0, 1) and finite volume."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if gen_kind not in _GEN_SHAPES:
+        raise ValueError("generator kind must be interval, square, or cube")
+    n = _GEN_SHAPES[gen_kind]
+    rs = np.asarray(ratios, dtype=float)
+    if np.any(rs <= 0) or np.any(rs >= 1):
+        raise ValueError("ratios must lie in (0, 1)")
+    if float(np.sum(rs**n)) >= 1.0:
+        raise ValueError("total spray volume diverges: Σ r^N >= 1")
+    return n, rs
+
+
 def spray_tube_oracle(gen_kind: str, side: float, ratios: Sequence[float],
                       t: float) -> float:
     """Exact inner tube volume of the spray by word enumeration.
@@ -153,16 +131,8 @@ def spray_tube_oracle(gen_kind: str, side: float, ratios: Sequence[float],
     w; only the (finitely many) copies wider than 2t need explicit treatment,
     the rest are fully covered and enter through the exact total volume.
     """
-    if gen_kind not in _GEN_SHAPES:
-        raise ValueError("generator kind must be interval, square, or cube")
-    n = _GEN_SHAPES[gen_kind]
-    rs = np.asarray(ratios, dtype=float)
-    if np.any(rs <= 0) or np.any(rs >= 1):
-        raise ValueError("ratios must lie in (0, 1)")
-    sum_rn = float(np.sum(rs**n))
-    if sum_rn >= 1.0:
-        raise ValueError("total spray volume diverges: Σ r^N >= 1")
-    total_volume = side**n / (1.0 - sum_rn)
+    n, rs = _spray_shape(gen_kind, ratios, t)
+    total_volume = side**n / (1.0 - float(np.sum(rs**n)))
     threshold = 2.0 * t
     # enumerate words with scale side·Πr > 2t (finite since all r < 1)
     big_sides: list[float] = []
@@ -185,46 +155,22 @@ def spray_tube(gen_kind: str, side: float, ratios: Sequence[float], t: float,
                window: Window) -> TubeFormulaReport:
     """Truncated tube formula for a self-similar spray, with enumeration oracle.
 
-    Terms combine the scaling roots (poles of 1/(1-Σ r^s), residues from
-    :func:`fractalzeta.spectrum.spray_dims`) and the generator poles; a
-    coincidence of the two families would create a higher-order pole and is
-    rejected.
+    The spray's zeta is gen(s)/(1 - Σ r^s): its poles are the scaling roots
+    (residues from :func:`fractalzeta.spectrum.spray_dims`, times gen) and the
+    generator poles (residues over 1 - Σ r^s).  A scaling root on a generator
+    pole would make a double pole and is refused.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if gen_kind not in _GEN_SHAPES:
-        raise ValueError("generator kind must be interval, square, or cube")
-    n = _GEN_SHAPES[gen_kind]
-    gen_form = MeromorphicForm((zeta._row_term(n, n, (-(-2) ** n,), (side,)),))
-    rs = np.asarray(ratios, dtype=float)
-    if float(np.sum(rs**n)) >= 1.0:
-        raise ValueError("total spray volume diverges: Σ r^N >= 1")
-    logt = math.log(t)
-
-    total = 0.0 + 0.0j
-    mags: list[float] = []
-
-    scaling = spectrum.spray_dims(ratios, window)
-    for p in sorted(scaling, key=lambda p: (abs(p.omega.imag), p.omega.imag)):
-        w = p.omega
-        gen_val = gen_form.value(w)  # raises if w grazes a generator pole
-        term = gen_val * p.residue * np.exp((n - w) * logt) / (n - w)
-        total += term
-        mags.append(abs(term))
-
-    for p in spectrum.poles(gen_form, window):
-        w = p.omega
-        den = 1.0 - complex(np.sum(np.exp(w * np.log(rs))))
-        if abs(den) < 1e-9:
-            raise ValueError("generator pole coincides with a scaling root")
-        term = (p.residue / den) * np.exp((n - w) * logt) / (n - w)
-        total += term
-        mags.append(abs(term))
-
-    return TubeFormulaReport(
-        t=t, truncation_k=len(scaling), formula_value=float(total.real),
-        oracle_value=spray_tube_oracle(gen_kind, side, ratios, t),
-        imag_residual=abs(total.imag), term_magnitudes=tuple(mags))
+    n, rs = _spray_shape(gen_kind, ratios, t)
+    gen = zeta._row_term(n, n, (-(-2) ** n,), (side,))
+    roots, root_res = _pole_arrays(spectrum.spray_dims(ratios, window))
+    gen_roots = np.array(gen.roots, dtype=float)
+    if roots.size and np.abs(np.subtract.outer(roots, gen_roots)).min() < zeta._POLE_TOL:
+        raise ValueError("a generator pole coincides with a scaling root")
+    gen_poles, gen_res = _pole_arrays(spectrum.poles(MeromorphicForm((gen,)), window))
+    gen_res /= spectrum._scaling_f(gen_poles, np.log(rs))  # 1 - Σ r^ω
+    return _report(np.concatenate((roots, gen_poles)),
+                   np.concatenate((gen.value(roots) * root_res, gen_res)), n, t,
+                   roots.size, spray_tube_oracle(gen_kind, side, ratios, t))
 
 
 # ---------------------------------------------------------------------------

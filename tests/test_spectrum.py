@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fractalzeta import geometry, spectrum, zeta
+from fractalzeta import geometry, quasi, spectrum, zeta
 from fractalzeta.spectrum import (PoleDatum, Window, poles, residue_analytic,
                                   residue_contour, residue_exact, spray_dims,
                                   window_for_lattice)
@@ -354,6 +354,27 @@ def test_poles_sorted_and_within_window():
     assert all(w.contains(p.omega) for p in ps)
     assert any(abs(p.omega - 1.0) < 1e-12 for p in ps)  # generator root pole
     assert any(abs(p.omega - D_CARPET2) < 1e-12 for p in ps)
+
+
+def test_poles_merge_a_shared_pole_placed_ulps_apart():
+    # both components of a quasiperiodic pair have a lattice point at s = D,
+    # but ln m / ln(1/a) rounds it to real parts 2 ulps apart
+    dim, band = 0.7609917671103934, 23.469005473378267
+    d1, d2 = quasi.two_qp_set(2, 3, dim, band=band).descriptors
+    f1, f2 = zeta.catalog_form(d1), zeta.catalog_form(d2)
+    w = Window(dim, dim, band)
+    ps = poles(f1.plus(f2), w)
+    assert len(ps) == len(poles(f1, w)) + len(poles(f2, w)) - 1 == 17
+    taus = [p.omega.imag for p in ps]
+    assert taus == sorted(taus)
+    (real,) = [p for p in ps if p.omega.imag == 0.0]
+    assert real.omega.real == pytest.approx(dim, rel=1e-15)
+    # C(m, a) sums to 2(m-1)(h/2)^s / (s(1 - m a^s)): residue 2(m-1)(h/2)^D / (D ln(1/a))
+    want = 0.0
+    for m in (2, 3):
+        a = m ** (-1.0 / dim)
+        want += 2 * (m - 1) * ((1 - m * a) / (2 * (m - 1))) ** dim / (dim * math.log(1 / a))
+    assert real.residue == pytest.approx(want, rel=1e-13)
 
 
 def test_pole_datum_fields():

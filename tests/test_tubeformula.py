@@ -69,16 +69,6 @@ def test_cantor_full_tube_formula():
     assert rep.imag_residual < 1e-12
 
 
-def test_formula_routes_agree():
-    # residues route (truncated_tube) vs tube-zeta route at matching windows
-    desc = geometry.carpet(2)
-    w = spectrum.window_for_lattice(D_CARPET2, LN3, 10)
-    t = 0.05
-    a = tubeformula.truncated_tube(desc, t, w)
-    b = tubeformula.tube_via_tubezeta(desc, t, w)
-    assert a.formula_value == pytest.approx(b.formula_value, rel=1e-12)
-
-
 @pytest.mark.parametrize("lam", [1.0, 1.7])
 def test_nest_and_custom_string_formulas_exact_below_smallest_hole(lam):
     # below its smallest inradius every hole's h is its polynomial: the nest
@@ -103,24 +93,6 @@ def test_truncated_tube_validation():
         tubeformula.truncated_tube(desc, 0.0, w)
     with pytest.raises(ValueError):
         tubeformula.truncated_tube(desc, -0.1, w)
-
-
-def test_tube_pole_data_relation():
-    # tube-zeta residues are distance-zeta residues divided by (N - omega)
-    desc = geometry.carpet(2)
-    form = zeta.catalog_form(desc)
-    w = spectrum.window_for_lattice(D_CARPET2, LN3, 2)
-    dist = spectrum.poles(form, w)
-    tube = tubeformula.tube_pole_data(desc, w)
-    by_omega = {complex(round(p.omega.real, 9), round(p.omega.imag, 9)): p
-                for p in tube}
-    for p in dist:
-        key = complex(round(p.omega.real, 9), round(p.omega.imag, 9))
-        if abs(p.omega - 2.0) < 1e-9:
-            assert key not in by_omega  # omega = N has no tube counterpart
-            continue
-        assert by_omega[key].residue == pytest.approx(
-            p.residue / (2.0 - p.omega), rel=1e-12)
 
 
 # --- sprays ------------------------------------------------------------------------
@@ -200,6 +172,17 @@ def test_spray_tube_divergent_volume_rejected():
         tubeformula.spray_tube("interval", 1.0, (0.7, 0.5), 0.01, w)
     with pytest.raises(ValueError):
         tubeformula.spray_tube_oracle("interval", 1.0, (0.7, 0.5), 0.01)
+
+
+@pytest.mark.parametrize("gen, ratios, right", [
+    ("interval", (0.5,), 0.99),      # 1 - 0.5^s vanishes at s = 0
+    ("square", (0.5, 0.5), 1.99),    # 1 - 2·0.5^s vanishes at s = 1
+])
+def test_spray_tube_refuses_scaling_root_on_generator_pole(gen, ratios, right):
+    # the spray's zeta would have a double pole there
+    w = spectrum.Window(-0.5, right, 20.0)
+    with pytest.raises(ValueError, match="coincides with a scaling root"):
+        tubeformula.spray_tube(gen, 1.0, ratios, 0.01, w)
 
 
 def test_spray_tube_validation():
