@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -536,44 +536,48 @@ def full_tube_volume(desc: SetDescriptor, t: float | np.ndarray) -> float | np.n
     return tube_volume(desc, t, full=True)
 
 
-def _hole_log_distances(desc: SetDescriptor, count: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """log d(x, A) for ``count`` uniform points x of Ω, drawn from its exact law.
+def _hole_law(desc: SetDescriptor) -> Callable[[int, np.random.Generator], np.ndarray]:
+    """``draw(count, rng)``: log d(x, A) for ``count`` uniform points x of Ω.
 
-    A is Lebesgue-null and each hole's boundary lies in A, so the law is read
-    off the hole table at δ = ∞.  A point lies in row i with probability
-    count_i·h_i(ρ_i)/|Ω|; a one-row table draws no row.  A family head, the
-    only row of a ladder's table, stands for level j >= 0 with probability
-    (1 - p)·p^j, p = m·a^N, and inradius ρ·a^j.  Inside its hole the distance
-    is ρ(1 - U^{1/k}) (see ``_Holes``), U uniform on [0, 1) and U = 0 the
-    hole's centre, so every draw is finite.  The infinite a-string, whose
-    table is truncated, lies in gap j with probability ℓ_j, so
+    A is Lebesgue-null and each hole's boundary lies in A, so the exact law is
+    read off the hole table at δ = ∞, built once here.  A point lies in row i
+    with probability count_i·h_i(ρ_i)/|Ω|; a one-row table draws no row.  A
+    family head, the only row of a ladder's table, stands for level j >= 0
+    with probability (1 - p)·p^j, p = m·a^N, and inradius ρ·a^j, drawn by
+    inversion: j = ⌊log(1 - U)/log p⌋, as P(j >= k) = p^k.  Inside its hole
+    the distance is ρ(1 - U^{1/k}) (see ``_Holes``), U uniform on [0, 1) and
+    U = 0 the hole's centre, so every draw is finite.  The infinite a-string,
+    whose table is truncated, lies in gap j with probability ℓ_j, so
     P(j >= k) = k^{-a} and j = ⌊V^{-1/a}⌋ for V uniform on (0, 1]; a j past
     the float range is a point of A, at distance 0.  Drawn in log space,
     nothing underflows however deep the level.
     """
-    if _truncated(desc):
-        with np.errstate(over="ignore", divide="ignore"):
-            j = np.floor((1.0 - rng.random(count)) ** (-1.0 / desc.a))
-            log_r = np.log(desc.scale * _a_string_length(j, desc.a) / 2.0)
-        degree = 1
-    else:
-        holes = _hole_table(desc, math.inf)
-        degrees = _degrees(holes.coeffs)
-        if len(holes.radii) == 1:
-            log_r, degree = math.log(holes.radii[0]), int(degrees[0])
+    holes = None if _truncated(desc) else _hole_table(desc, math.inf)
+    if holes is not None:
+        log_radii, degrees = np.log(holes.radii), _degrees(holes.coeffs)
+        cum = np.cumsum(_saturated_volumes(holes, desc.ambient_dim))
+
+    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
+        if holes is None:
+            with np.errstate(over="ignore", divide="ignore"):
+                j = np.floor((1.0 - rng.random(count)) ** (-1.0 / desc.a))
+                log_r = np.log(desc.scale * _a_string_length(j, desc.a) / 2.0)
+            degree = 1
+        elif len(cum) == 1:
+            log_r, degree = log_radii[0], int(degrees[0])
         else:
-            cum = np.cumsum(_saturated_volumes(holes, desc.ambient_dim))
             row = np.minimum(np.searchsorted(cum, cum[-1] * rng.random(count), side="right"),
                              len(cum) - 1)
-            log_r, degree = np.log(holes.radii)[row], degrees[row]
-        if holes.ratios is not None:  # at δ = ∞ the family head is the only row
-            count_ratio, a = holes.ratios
-            levels = rng.geometric(1.0 - count_ratio * a**desc.ambient_dim, size=count) - 1
+            log_r, degree = log_radii[row], degrees[row]
+        if holes is not None and holes.ratios is not None:  # at δ = ∞ the head is the only row
+            m, a = holes.ratios  # 1 - U is exact: U lies on the 2^-53 grid
+            levels = np.floor(np.log(1.0 - rng.random(count)) / math.log(m * a**desc.ambient_dim))
             log_r = log_r + levels * math.log(a)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(rng.random(count))
-    return log_r + np.log(-np.expm1(log_u / degree))
+        with np.errstate(divide="ignore"):
+            log_u = np.log(rng.random(count))
+        return log_r + np.log(-np.expm1(log_u / degree))
+
+    return draw
 
 
 def log_tube_volume(desc: SetDescriptor, t: float | np.ndarray,

@@ -258,6 +258,9 @@ def ordinate_min_gap(bases: Sequence[int], dim: float, band: float) -> float:
     where coinciding ordinates (m_i^{n_j} = m_j^{n_i}) are one pole."""
     descs = [geometry.cantor_set(m, float(m) ** (-1.0 / dim)) for m in bases]
     taus = np.array([p.omega.imag for p in _critical_poles(descs, dim, band)])
+    if len(taus) < 2:
+        raise ValueError(f"no ordinate gap: fewer than two distinct singularity ordinates "
+                         f"in [-{band:g}, {band:g}]")
     return float(np.diff(taus).min())
 
 

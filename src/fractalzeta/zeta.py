@@ -602,38 +602,24 @@ def tube_zeta_residue(desc: SetDescriptor, dim: float, delta: float,
 # Monte Carlo
 
 
-def _region_shape(desc: SetDescriptor) -> tuple[float, bool]:
-    """Ω as ``(size, disk)``: the disk of radius λ for the nest, else the box
-    [0, size]^N, size = λ.  A string on a line fills an interval of length
-    |Ω|, placed at 0 because the hole law does not see where it sits.
-    """
-    if desc.kind == "nest":
-        return desc.scale, True
-    if desc.ambient_dim == 1 and desc.ladder is None:
-        return region_volume(desc), False
-    return desc.scale, False
-
-
 def _flat_drum_log_distances(desc: SetDescriptor, count: int,
                              rng: np.random.Generator) -> np.ndarray:
     """log |x| for ``count`` uniform points x of the cusp, which has no holes:
     A = {0}, so d(x, A) = |x|.  Rejection sampling from its bounding box."""
-    emax = math.exp(-1.0)
     out = np.empty((0, 2))
     while len(out) < count:
-        cand = rng.random((2 * count, 2))
-        cand[:, 1] *= emax
-        keep = cand[:, 1] < np.exp(-1.0 / np.clip(cand[:, 0], 1e-300, None))
-        out = np.vstack((out, cand[keep]))
+        cand = rng.random((2 * count, 2)) * (1.0, math.exp(-1.0))
+        with np.errstate(divide="ignore"):
+            out = np.vstack((out, cand[cand[:, 1] < np.exp(-1.0 / cand[:, 0])]))
     with np.errstate(divide="ignore"):
-        return np.log(desc.scale * np.linalg.norm(out[:count], axis=1))
+        return np.log(desc.scale * np.hypot(out[:count, 0], out[:count, 1]))
 
 
 def _variance_threshold(desc: SetDescriptor) -> float | None:
     """(N + D)/2, below which d(x, A)^{s-N} has infinite variance on Ω.
 
     E|d^{s-N}|² is the distance zeta at 2 Re s - N, finite only above the
-    dimension D, which the hole table gives: log m / log(1/a) with a
+    dimension D: log m / log(1/a) for a ladder, whose hole table ends in a
     geometric family, 1/(1 + a) for the infinite a-string, and N - 1 for
     every other (finite) table.  The flat drum has no holes and no
     threshold: its tube is flat, so every moment of d^{s-N} is finite.
@@ -643,9 +629,50 @@ def _variance_threshold(desc: SetDescriptor) -> float | None:
         return None
     if geometry._truncated(desc):
         return (n + 1.0 / (1.0 + desc.a)) / 2.0
-    ratios = geometry._hole_table(desc, math.inf).ratios
-    dim = n - 1.0 if ratios is None else math.log(ratios[0]) / math.log(1.0 / ratios[1])
+    dim = n - 1.0 if desc.ladder is None else desc.ladder.similarity_dim
     return (n + dim) / 2.0
+
+
+_MC_BLOCK = 2**16  # samples drawn and reduced at a time: memory does not grow with n
+
+
+def _mc_draw(desc: SetDescriptor, s: complex, delta: float | None,
+             full: bool) -> tuple[float, Callable[[int, np.random.Generator], np.ndarray]]:
+    """``(scale, draw)``: ``draw(count, rng)`` gives d(x, A)^{s-N} at ``count``
+    uniform points of Ω, or in full mode d^{s-N}·[d <= δ] at points of a box
+    around A_δ, ``scale`` being the region's volume.  ∂Ω lies in A, so a box
+    point outside Ω is at the norm of its per-axis gaps to Ω."""
+    ndim = desc.ambient_dim
+    if desc.kind == "flatDrum":
+        if full:
+            raise ValueError("the flat drum is a relative construction only")
+        law = functools.partial(_flat_drum_log_distances, desc)
+    else:
+        law = geometry._hole_law(desc)
+    scale, cut = region_volume(desc), math.inf
+    if full:
+        # Ω is the nest's disk of radius λ, or the box [0, size]^N: a string
+        # on a line fills [0, |Ω|], as the hole law does not see where it sits
+        disk = desc.kind == "nest"
+        size = scale if ndim == 1 and desc.ladder is None else desc.scale
+        lo, width = (-size - delta, 2.0 * (size + delta)) if disk else (-delta, size + 2.0 * delta)
+        scale, cut = width**ndim, math.log(delta)
+
+    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
+        if full:
+            x = lo + width * rng.random((ndim, count))
+            gaps = x if disk else np.maximum(np.maximum(-x, x - size), 0.0)
+            gap = np.maximum(np.sqrt(np.square(gaps).sum(axis=0)) - (size if disk else 0.0), 0.0)
+            inside = np.flatnonzero(gap == 0.0)
+            with np.errstate(divide="ignore"):
+                log_d = np.log(gap)
+            log_d[inside] = law(len(inside), rng)
+        else:
+            log_d = law(count, rng)
+        keep = (log_d > -math.inf) & (log_d <= cut)
+        return np.exp((s - ndim) * np.where(keep, log_d, 0.0)) * keep
+
+    return scale, draw
 
 
 def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
@@ -655,11 +682,11 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
     Relative mode averages d(x,A)^{s-N} over n uniform points of Ω and scales
     by |Ω|; full mode needs ``delta`` and averages d^{s-N}·[d <= δ] over n
     uniform points of a box containing A_δ.  The distance of a point of Ω is
-    drawn from its exact law, read off the hole table (a hole, then a
-    closed-form distance inside it; see ``geometry._hole_log_distances``), so
-    no distance oracle is called.  In full mode ∂Ω lies in A, so a box point
-    outside Ω is at its distance to Ω.  The flat drum has no holes: it samples
-    points of its cusp, relative mode only.  Deterministic for a fixed seed.
+    drawn from its exact law (a hole, then a closed-form distance inside it;
+    see ``geometry._hole_law``).  The flat drum has no holes: it samples its
+    cusp, relative mode only.  Blocks of ``_MC_BLOCK`` samples are merged into
+    the running mean and sum of squared deviations (Chan, Golub & LeVeque
+    1979).  Deterministic for a fixed seed.
     Raises :class:`NonconvergenceError` at Re s <= (N + D)/2, where the
     variance is infinite and a standard error would mean nothing (every kind
     but the flat drum, see ``_variance_threshold``).
@@ -669,40 +696,20 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
     if full and delta is None:
         raise ValueError("full-tube Monte Carlo needs delta")
     s = complex(s)
-    ndim = desc.ambient_dim
     threshold = _variance_threshold(desc)
     if threshold is not None and s.real <= threshold:
         raise NonconvergenceError(
             f"Monte Carlo variance is infinite for Re s <= (N + D)/2 = {threshold:.6g}")
+    scale, draw = _mc_draw(desc, s, delta, full)
     rng = np.random.default_rng(seed)
-    if desc.kind == "flatDrum":
-        if full:
-            raise ValueError("the flat drum is a relative construction only")
-        log_d, scale = _flat_drum_log_distances(desc, n, rng), region_volume(desc)
-    elif full:
-        size, disk = _region_shape(desc)
-        lo, hi = (-size - delta, size + delta) if disk else (-delta, size + delta)
-        scale = (hi - lo) ** ndim
-        pts = lo + (hi - lo) * rng.random((n, ndim))
-        if disk:
-            gap = np.maximum(np.linalg.norm(pts, axis=1) - size, 0.0)
-        else:
-            gap = np.linalg.norm(pts - np.clip(pts, 0.0, size), axis=1)
-        inside = gap == 0.0
-        log_d = np.empty(n)
-        log_d[~inside] = np.log(gap[~inside])
-        log_d[inside] = geometry._hole_log_distances(desc, int(inside.sum()), rng)
-    else:
-        log_d, scale = geometry._hole_log_distances(desc, n, rng), region_volume(desc)
-    keep = np.isfinite(log_d)
-    if full:
-        keep &= log_d <= math.log(delta)
-    vals = np.zeros(n, dtype=complex)
-    vals[keep] = np.exp((s - ndim) * log_d[keep])
-    mean = vals.mean()
-    var = np.mean(np.abs(vals - mean) ** 2)
-    std_err = scale * math.sqrt(var / n)
-    return ZetaEstimate(value=scale * mean, std_err=std_err, samples=n)
+    mean, m2 = 0j, 0.0
+    for start in range(0, n, _MC_BLOCK):  # ``start`` samples merged so far
+        vals = draw(min(_MC_BLOCK, n - start), rng)
+        block_mean = vals.mean()
+        dev, step, weight = vals - block_mean, block_mean - mean, len(vals) / (start + len(vals))
+        mean += step * weight
+        m2 += np.vdot(dev, dev).real + abs(step) ** 2 * start * weight
+    return ZetaEstimate(value=scale * mean, std_err=scale * math.sqrt(m2) / n, samples=n)
 
 
 def scaling_check(desc: SetDescriptor, lam: float, s: complex,

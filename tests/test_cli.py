@@ -314,6 +314,12 @@ def test_quasi_dependent_bases_exit_2(capsys):
     assert "dependent" in capsys.readouterr().err
 
 
+def test_quasi_hyper_band_with_one_ordinate_exits_2(capsys):
+    assert run(["quasi", "--hyper", "--K", "1", "--dim", "0.5", "--band", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "fewer than two distinct singularity ordinates" in err
+
+
 def test_quasi_hyper_artifact(tmp_path, schema):
     out = tmp_path / "qh.json"
     assert run(["quasi", "--hyper", "--K", "3", "--dim", "0.5", "--output",

@@ -184,6 +184,12 @@ def test_min_gap_dedupes_exact_power_coincidences():
     assert got == pytest.approx(math.pi / (2.0 * LN2), rel=1e-14)
 
 
+def test_min_gap_refuses_a_band_with_one_ordinate():
+    # π/ln 2 = 4.53 > 1: the band holds the real pole D alone
+    with pytest.raises(ValueError, match="fewer than two distinct singularity ordinates"):
+        ordinate_min_gap((2,), 0.5, 1.0)
+
+
 def test_min_gap_strictly_decreasing_in_k():
     gaps = [ordinate_min_gap((2, 3, 5)[: k], 0.5, 20.0) for k in (1, 2, 3)]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0

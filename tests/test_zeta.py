@@ -6,6 +6,7 @@ against each other through the functional equation and scaling identities.
 """
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -319,7 +320,7 @@ def test_ladder_hole_law_matches_tube_volume(name):
     # P(d(x, A) <= t) for uniform x in Ω is |A_t ∩ Ω| / |Ω|
     desc = _HOLE_LAW_SETS[name]()
     n = 200_000
-    log_d = geometry._hole_log_distances(desc, n, np.random.default_rng(3))
+    log_d = geometry._hole_law(desc)(n, np.random.default_rng(3))
     assert log_d.shape == (n,) and np.all(np.isfinite(log_d))
     ts = [0.1, 0.02, 1e-6]
     if name == "carpet2":
@@ -371,6 +372,49 @@ def test_distance_zeta_mc_full_box_boundary_matches_closed(n, s):
     desc = geometry.box_boundary(n)
     ref = distance_zeta_closed(desc, s, delta=0.6, full=True)
     est = distance_zeta_mc(desc, s, n=400_000, seed=3, delta=0.6, full=True)
+    assert abs(est.value - ref) < 4.0 * est.std_err
+
+
+@pytest.mark.parametrize("n", [2, 3, 2**16, 2**16 + 3, 3 * 2**16 - 1])
+@pytest.mark.parametrize("full", [False, True])
+def test_distance_zeta_mc_block_merge_matches_one_pass(n, full):
+    # the running (mean, M2) merged block by block equals the mean and
+    # population variance of the concatenated draws of the same seed
+    desc, s, seed = geometry.carpet(2), 1.97 + 0.5j, 7
+    delta = 0.45 if full else None
+    scale, draw = zeta._mc_draw(desc, s, delta, full)
+    rng = np.random.default_rng(seed)
+    vals = np.concatenate([draw(min(zeta._MC_BLOCK, n - start), rng)
+                           for start in range(0, n, zeta._MC_BLOCK)])
+    assert len(vals) == n
+    est = distance_zeta_mc(desc, s, n=n, seed=seed, delta=delta, full=full)
+    assert est.value == pytest.approx(scale * np.mean(vals), rel=1e-12)
+    assert est.std_err == pytest.approx(scale * math.sqrt(np.var(vals) / n), rel=1e-12)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_distance_zeta_mc_memory_does_not_grow_with_n(full):
+    # samples are drawn and reduced in blocks: at n = 2e6 one n-long complex
+    # array alone would take 32 MB
+    delta = 0.45 if full else None
+    tracemalloc.start()
+    try:
+        distance_zeta_mc(geometry.carpet(2), 1.97 + 0.5j, 2_000_000, 1, delta=delta, full=full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("s", [1.5 + 0.0j, 2.5 + 1.0j, 0.7 + 0.3j])
+def test_distance_zeta_mc_flat_drum_matches_functional_equation(s):
+    # ζ_A(s) = δ^{s-2}|Ω| + (2 - s) ζ̃_A(s; δ) at the saturated δ, from the
+    # flat drum's closed-form tube zeta
+    desc = geometry.flat_drum()
+    delta = geometry.saturation_threshold(desc)
+    ref = (np.exp((s - 2) * math.log(delta)) * geometry.region_volume(desc)
+           + (2 - s) * tube_zeta_quad(desc, s, delta).value)
+    est = distance_zeta_mc(desc, s, n=200_000, seed=13)
     assert abs(est.value - ref) < 4.0 * est.std_err
 
 
