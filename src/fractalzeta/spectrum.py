@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
+_NEWTON_STEPS = 40  # most Newton steps a root is polished with
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,16 @@ def residue_exact(form: MeromorphicForm, pole: int | Fraction) -> Fraction:
 _RESIDUE_FLOOR = 1e-12
 
 
+def _merge(where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: ``where[order]`` is sorted by (Re, Im), real parts
+    within ``_MATCH_TOL`` counting as equal, and ``starts`` marks in it the
+    first of each run of neighbours closer than ``_MATCH_TOL``: one point."""
+    re = np.sort(where.real)
+    firsts = re[np.diff(re, prepend=-np.inf) > _MATCH_TOL]  # the least of each group
+    order = np.lexsort((where.imag, np.searchsorted(firsts, where.real, side="right")))
+    return order, np.flatnonzero(np.abs(np.diff(where[order], prepend=np.inf)) > _MATCH_TOL)
+
+
 def poles(form: MeromorphicForm, w: Window) -> list[PoleDatum]:
     """All poles of the form inside the window, with residues, sorted by
     (Re, Im), real parts within ``_MATCH_TOL`` counting as equal.
@@ -155,12 +166,8 @@ def poles(form: MeromorphicForm, w: Window) -> list[PoleDatum]:
     where, res = _residues(form, -w.tau_max, w.tau_max, w.contains)
     if not len(where):
         return []
-    re = np.sort(where.real)
-    group = np.searchsorted(re[np.concatenate(([True], np.diff(re) > _MATCH_TOL))],
-                            where.real, side="right")
-    order = np.lexsort((where.imag, group))
+    order, starts = _merge(where)
     where, res = where[order], res[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.abs(np.diff(where)) > _MATCH_TOL)))
     total = np.add.reduceat(res, starts)
     gross = np.add.reduceat(np.abs(res), starts)
     live = np.abs(total) > _RESIDUE_FLOOR * np.maximum(1.0, gross)
@@ -248,18 +255,24 @@ def _cf_approx(x: float, tol: float, qcap: int, depth: int = 40) -> Fraction | N
     return None
 
 
-def _newton_polish(sites: np.ndarray, ratios: np.ndarray, iters: int = 80) -> np.ndarray:
+def _newton_polish(sites: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """Newton on Σ r^z = 1 from each site; a site stops once its step falls
+    to a few ulps of |z| (or is not finite), after ``_NEWTON_STEPS`` at most."""
     logs = np.log(ratios)
     z = sites.astype(complex)
+    live = np.arange(len(z))
     # diverging seeds overflow r^sigma; they are filtered out afterwards
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
-            e = np.exp(np.multiply.outer(z, logs))
+        for _ in range(_NEWTON_STEPS):
+            e = np.exp(np.multiply.outer(z[live], logs))
             f = e.sum(axis=-1) - 1.0
-            fp = (e * logs).sum(axis=-1)
+            fp = e @ logs
             step = np.where(np.abs(fp) > 1e-300, f / np.where(fp == 0, 1.0, fp), 0.0)
             step = np.where(np.isfinite(step), step, 0.0)
-            z = z - step
+            z[live] -= step
+            live = live[np.abs(step) > 4.0 * _EPS * np.abs(z[live])]
+            if not live.size:
+                break
     return z
 
 
@@ -396,7 +409,7 @@ def _seed_roots(rs: np.ndarray, a: float, b: float, lows: np.ndarray, highs: np.
         nt = int(math.ceil((hi - lo) / step))
         tau = lo + (np.arange(nt) + 0.5) * (hi - lo) / nt
         seeds.append((sig[:, None] + 1j * tau[None, :]).ravel())
-    z = _newton_polish(np.concatenate(seeds), rs, iters=40)
+    z = _newton_polish(np.concatenate(seeds), rs)
     logs = np.log(rs)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = np.abs(_scaling_f(z, logs))
@@ -410,12 +423,12 @@ def _strip_name(a: float, b: float, tops: np.ndarray, k: int) -> str:
     return f"Re s in [{a:.6g}, {b:.6g}], Im s in [{lo:.6g}, {tops[k]:.6g}]"
 
 
-def _nonlattice_roots(rs: np.ndarray, w: Window) -> list[complex]:
+def _nonlattice_roots(rs: np.ndarray, w: Window) -> np.ndarray:
     """Every zero of 1 − Σ r_j^s in the counting rectangle around the window,
     conjugate pairs included, or :class:`NonconvergenceError`."""
     a, b, tops, counts = _count_strips(np.log(rs), w)
     lows = np.concatenate(([0.0], tops[:-1]))  # seed upper halves; mirror below
-    found: list[list[complex]] = [[] for _ in counts]
+    found = np.empty(0, dtype=complex)
     got = np.zeros(len(counts), dtype=int)
     todo = np.flatnonzero(counts)
     step = _SEED_STEP
@@ -423,11 +436,12 @@ def _nonlattice_roots(rs: np.ndarray, w: Window) -> list[complex]:
         if not todo.size:
             break
         z = _seed_roots(rs, a, b, lows[todo], tops[todo], step)
-        z = z[(z.real >= a) & (z.real <= b) & (z.imag < tops[-1])]
-        for zz, k in zip(z, np.searchsorted(tops, z.imag, side="right")):
-            if all(abs(zz - u) > 1e-8 for u in found[k]):
-                found[k].append(zz)
-                got[k] += 2 if k == 0 and zz.imag > 0 else 1  # strip 0 counts both of a pair
+        z = np.concatenate((found, z[(z.real >= a) & (z.real <= b) & (z.imag < tops[-1])]))
+        order, starts = _merge(z)
+        found = z[order][starts]
+        k = np.searchsorted(tops, found.imag, side="right")
+        pair = (k == 0) & (found.imag > 0)  # strip 0 counts both of a pair
+        got = np.bincount(k, 1 + pair, len(counts)).astype(int)
         over = np.flatnonzero(got > counts)
         if over.size:
             k = over[0]
@@ -441,8 +455,7 @@ def _nonlattice_roots(rs: np.ndarray, w: Window) -> list[complex]:
         raise NonconvergenceError(
             f"found {got[k]} of the {counts[k]} zeros of 1 - sum r_j^s counted in the strip "
             f"{_strip_name(a, b, tops, k)}")
-    upper = [u for us in found for u in us]
-    return upper + [u.conjugate() for u in upper if u.imag > 0]
+    return np.concatenate((found, found[found.imag > 0].conj()))
 
 
 def spray_dims(ratios: Sequence[float], w: Window) -> list[PoleDatum]:
@@ -455,7 +468,8 @@ def spray_dims(ratios: Sequence[float], w: Window) -> list[PoleDatum]:
     how finely each edge is sampled; Newton then runs only in strips that
     hold zeros, from grids refined until each strip's count is met.  A strip
     whose roots cannot all be found raises :class:`NonconvergenceError`, so
-    a root is never dropped silently.  Residues are 1/Σ_j r_j^ω ln(1/r_j).
+    a root is never dropped silently.  Residues are 1/Σ_j r_j^ω ln(1/r_j);
+    the roots are merged and sorted as :func:`poles` merges and sorts poles.
     """
     rs = np.asarray(sorted(ratios, reverse=True), dtype=float)
     if np.any(rs <= 0) or np.any(rs >= 1):
@@ -488,23 +502,15 @@ def spray_dims(ratios: Sequence[float], w: Window) -> list[PoleDatum]:
                 roots.append(complex(sigma, base_tau + spacing * nn))
     else:
         roots = _nonlattice_roots(rs, w)
-    # polish and package
-    arr = _newton_polish(np.array(roots, dtype=complex), rs, iters=40)
-    logs = np.log(1.0 / rs)
-    out: list[PoleDatum] = []
-    seen: list[complex] = []
-    for z in arr:
-        if not w.contains(z, slack=1e-9):
-            continue
-        if any(abs(z - u) < 1e-9 for u in seen):
-            continue
-        seen.append(z)
-        dden = complex((np.exp(np.multiply.outer(z, np.log(rs))) * logs).sum())
-        if abs(dden) < 1e-10:
-            raise ValueError(f"degenerate (multiple) scaling root near {z}")
-        out.append(PoleDatum(omega=z, order=1, residue=1.0 / dden))
-    out.sort(key=lambda p: (p.omega.real, p.omega.imag))
-    return out
+    arr = _newton_polish(np.array(roots, dtype=complex), rs)
+    arr = arr[w.contains(arr, slack=1e-9)]
+    order, starts = _merge(arr)
+    arr = arr[order][starts]
+    dden = np.exp(np.multiply.outer(arr, np.log(rs))) @ -np.log(rs)
+    bad = np.abs(dden) < 1e-10
+    if bad.any():
+        raise ValueError(f"degenerate (multiple) scaling root near {arr[bad][0]}")
+    return [PoleDatum(omega=z, order=1, residue=1 / d) for z, d in zip(arr.tolist(), dden.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -605,14 +605,18 @@ def tube_zeta_residue(desc: SetDescriptor, dim: float, delta: float,
 def _flat_drum_log_distances(desc: SetDescriptor, count: int,
                              rng: np.random.Generator) -> np.ndarray:
     """log |x| for ``count`` uniform points x of the cusp, which has no holes:
-    A = {0}, so d(x, A) = |x|.  Rejection sampling from its bounding box."""
-    out = np.empty((0, 2))
-    while len(out) < count:
-        cand = rng.random((2 * count, 2)) * (1.0, math.exp(-1.0))
+    A = {0}, so d(x, A) = |x|.  Rejection sampling from its bounding box,
+    which keeps a share |Ω|·e of its points; each try draws enough for what
+    is missing, with about four standard deviations to spare."""
+    parts, got = [], 0
+    while got < count:
+        size = (count - got + 4.0 * math.sqrt(count - got) + 16) / (flat.region_volume() * math.e)
+        cand = rng.random((int(size), 2)) * (1.0, math.exp(-1.0))
         with np.errstate(divide="ignore"):
-            out = np.vstack((out, cand[cand[:, 1] < np.exp(-1.0 / cand[:, 0])]))
+            parts.append(cand[cand[:, 1] < np.exp(-1.0 / cand[:, 0])])
+        got += len(parts[-1])
     with np.errstate(divide="ignore"):
-        return np.log(desc.scale * np.hypot(out[:count, 0], out[:count, 1]))
+        return np.log(desc.scale * np.hypot(*np.concatenate(parts)[:count].T))
 
 
 def _variance_threshold(desc: SetDescriptor) -> float | None:

@@ -281,6 +281,80 @@ def test_spray_dims_raises_when_a_counted_root_is_not_found(monkeypatch):
         spray_dims(ratios, Window(-1.0, 0.99, 20.0))
 
 
+def _reference_spray_dims(ratios, w):
+    """spray_dims root by root: the companion-polynomial branches (lattice)
+    or the counted nonlattice roots, 40 plain Newton steps on each, a root
+    kept unless one kept before lies within 1e-9, one residue per root."""
+    rs = np.asarray(sorted(ratios, reverse=True), dtype=float)
+    lattice = spectrum._commensurable_exponents(rs)
+    roots = []
+    if lattice is None:
+        roots = list(spectrum._nonlattice_roots(rs, w))
+    else:
+        rho, ks = lattice
+        deg = max(ks)
+        poly = np.zeros(deg + 1)
+        poly[deg] = -1.0
+        for k in ks:
+            poly[deg - k] += 1.0
+        lrho = math.log(rho)
+        spacing = -2.0 * math.pi / lrho
+        for z in np.roots(poly):
+            sigma = math.log(abs(z)) / lrho
+            if not (w.sigma_left - 0.1 <= sigma <= w.sigma_right + 0.1):
+                continue
+            base_tau = -cmath.phase(z) / lrho
+            nmin = int(math.ceil((-w.tau_max - base_tau) / spacing - 1e-9))
+            nmax = int(math.floor((w.tau_max - base_tau) / spacing + 1e-9))
+            roots += [complex(sigma, base_tau + spacing * n) for n in range(nmin, nmax + 1)]
+    z = np.array(roots, dtype=complex)
+    logs = np.log(rs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(40):
+            e = np.exp(np.multiply.outer(z, logs))
+            fp = (e * logs).sum(axis=-1)
+            step = np.where(np.abs(fp) > 1e-300, (e.sum(axis=-1) - 1.0) / np.where(fp == 0, 1.0, fp), 0.0)
+            z = z - np.where(np.isfinite(step), step, 0.0)
+    out, seen = [], []
+    for zz in z:
+        if not w.contains(zz, slack=1e-9) or any(abs(zz - u) < 1e-9 for u in seen):
+            continue
+        seen.append(zz)
+        out.append((complex(zz), 1.0 / complex((np.exp(np.multiply.outer(zz, logs)) * -logs).sum())))
+    return out
+
+
+_SPRAY_WINDOWS = [(8 * (1 / 3,), Window(-1.0, 2.5, 998.0)),
+                  ((0.5, 0.25, 0.25), Window(-1.0, 2.0, 800.0)),
+                  ((0.5, 1 / 3), Window(-1.0, 0.99, 200.0)),
+                  ((0.4, 0.3, 0.2), Window(-1.0, 0.99, 200.0))]
+
+
+@pytest.mark.parametrize("ratios, w", _SPRAY_WINDOWS)
+def test_spray_dims_matches_per_root_reference(ratios, w):
+    # the phase of r^w carries an error of about |Im w| ulps, hence the bounds
+    ps = spray_dims(ratios, w)
+    ref = _reference_spray_dims(ratios, w)
+    assert len(ps) == len(ref) > 0
+    got = np.array([p.omega for p in ps])
+    match = [int(np.argmin(np.abs(got - omega))) for omega, _ in ref]
+    assert sorted(match) == list(range(len(ps)))
+    for i, (omega, res) in zip(match, ref):
+        assert abs(got[i] - omega) <= 1e-14 * max(1.0, abs(omega))
+        assert abs(ps[i].residue - res) <= 1e-11 * abs(res)
+
+
+@pytest.mark.parametrize("ratios, w", _SPRAY_WINDOWS)
+def test_spray_dims_ordered_like_poles(ratios, w):
+    # real parts within 1e-9 are one group, sorted by Im; the groups by Re
+    zs = [p.omega for p in spray_dims(ratios, w)]
+    for p, q in zip(zs, zs[1:]):
+        if abs(q.real - p.real) <= 1e-9:
+            assert q.imag > p.imag, (p, q)
+        else:
+            assert q.real > p.real, (p, q)
+
+
 def test_commensurable_exponent_detection():
     arr = lambda *xs: np.asarray(xs, dtype=float)
     assert spectrum._commensurable_exponents(arr(0.5, 0.25, 0.125)) is not None
