@@ -51,7 +51,7 @@ from .quasi import (
     two_qp_set,
 )
 from .spectrum import (
-    PoleDatum,
+    PoleSet,
     Window,
     fourier_residues,
     poles,
@@ -106,7 +106,7 @@ __all__ = [
     "DependenceError", "ExponentVector", "HyperfractalTruncation", "QPReport",
     "exponent_vector", "find_relation", "hyperfractal_truncation",
     "ordinate_min_gap", "rationally_independent", "two_qp_set",
-    "PoleDatum", "Window", "fourier_residues", "poles", "residue_analytic",
+    "PoleSet", "Window", "fourier_residues", "poles", "residue_analytic",
     "residue_contour", "residue_exact", "spray_dims", "window_for_lattice",
     "MeasurabilityVerdict", "TubeFormulaReport", "measurability_check",
     "spray_tube", "spray_tube_oracle", "truncated_tube",

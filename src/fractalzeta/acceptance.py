@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dims, geometry, quasi, spectrum, tubeformula, zeta
-from .spectrum import PoleDatum, Window
+from .spectrum import PoleSet, Window
 
 __all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_criterion", "run_all", "format_report"]
 
@@ -198,7 +198,7 @@ def _crit09() -> tuple[bool, str]:
     lat = spectrum.spray_dims([1.0 / 3.0] * 8, w_lat)
     expected = sorted((complex(d, 2.0 * math.pi * k / LN3) for k in range(-10, 11)),
                       key=lambda z: z.imag)
-    got = sorted((p.omega for p in lat), key=lambda z: z.imag)
+    got = sorted(lat.omega.tolist(), key=lambda z: z.imag)
     lattice_err = (max(abs(a - b) for a, b in zip(got, expected))
                    if len(got) == len(expected) else math.inf)
 
@@ -212,11 +212,11 @@ def _crit09() -> tuple[bool, str]:
             hi = mid
     oracle = 0.5 * (lo + hi)
     non = spectrum.spray_dims(ratios, Window(0.0, 1.0, 20.0))
-    reals = [p.omega.real for p in non if abs(p.omega.imag) < 1e-9]
+    reals = non.omega.real[np.abs(non.omega.imag) < 1e-9].tolist()
     real_err = min(abs(r - oracle) for r in reals) if reals else math.inf
     defect = max(
-        [_spray_defect([1.0 / 3.0] * 8, p.omega) for p in lat]
-        + [_spray_defect(ratios, p.omega) for p in non])
+        [_spray_defect([1.0 / 3.0] * 8, w) for w in lat.omega.tolist()]
+        + [_spray_defect(ratios, w) for w in non.omega.tolist()])
     ok = lattice_err <= 1e-10 and real_err <= 1e-5 and defect <= 1e-10
     return ok, (f"lattice (8 x 1/3): {len(got)} roots, max dev {_fmt(lattice_err)} (<= 1e-10); "
                 f"nonlattice (1/2, 1/3): real root vs bisection {oracle:.5f} err {_fmt(real_err)} "
@@ -258,11 +258,8 @@ def _crit11() -> tuple[bool, str]:
     w = Window(d - 0.01, d + 0.01, (2 + 0.5) * 2.0 * math.pi / LN3)
     principal = spectrum.poles(zeta.catalog_form(desc), w)
     v1 = tubeformula.measurability_check(principal, d)
-    v2 = tubeformula.measurability_check(
-        [PoleDatum(omega=complex(0.5), order=1, residue=2.0 * math.sqrt(2.0))], 0.5)
-    v3 = tubeformula.measurability_check(
-        [PoleDatum(omega=complex(0.5), order=1, residue=1.0),
-         PoleDatum(omega=complex(0.5, 4.0), order=1, residue=0.0)], 0.5)
+    v2 = tubeformula.measurability_check(PoleSet([0.5], [2.0 * math.sqrt(2.0)]), 0.5)
+    v3 = tubeformula.measurability_check(PoleSet([0.5, 0.5 + 4.0j], [1.0, 0.0]), 0.5)
     ok = (not v1.measurable) and v2.measurable and v3.measurable
     return ok, (f"cantor lattice ({len(principal)} poles) -> "
                 f"{'non' if not v1.measurable else ''}measurable; single simple pole -> "

@@ -1,9 +1,9 @@
 """Command-line surface: catalog drums in, CSV/JSON artifacts out.
 
-Artifacts are deterministic for a fixed invocation: JSON is emitted with
-sorted keys and CSV with 17 significant digits, Monte Carlo requires an
-explicit seed, and the ``verify`` report written to files omits wall-clock
-timings (stdout keeps them for the human reader).
+Artifacts are deterministic for a fixed invocation: JSON is emitted compact,
+on one line with sorted keys, and CSV with 17 significant digits, Monte Carlo
+requires an explicit seed, and the ``verify`` report written to files omits
+wall-clock timings (stdout keeps them for the human reader).
 
 Exit codes: 0 success, 1 acceptance failure, 2 configuration error.
 """
@@ -38,8 +38,7 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _json_artifact(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                      allow_nan=False, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
@@ -202,9 +201,10 @@ def _cmd_poles(args: argparse.Namespace) -> int:
         "artifact": "poles", "source": source,
         "window": {"sigmaLeft": w.sigma_left, "sigmaRight": w.sigma_right,
                    "tauMax": w.tau_max},
-        "poles": [{"im": p.omega.imag, "order": p.order, "re": p.omega.real,
-                   "res_im": p.residue.imag, "res_re": p.residue.real}
-                  for p in data],
+        "poles": [{"im": im, "order": 1, "re": re, "res_im": res_im, "res_re": res_re}
+                  for re, im, res_re, res_im in zip(
+                      data.omega.real.tolist(), data.omega.imag.tolist(),
+                      data.residue.real.tolist(), data.residue.imag.tolist())],
     }
     _write_text(_json_artifact(payload), args.output)
     return 0

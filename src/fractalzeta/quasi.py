@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry, spectrum, zeta
 from .geometry import FractalString, SetDescriptor
-from .spectrum import PoleDatum, Window
+from .spectrum import PoleSet, Window
 
 __all__ = [
     "ExponentVector",
@@ -164,7 +164,7 @@ def _check_multiplicative_independence(ms: Sequence[int]) -> None:
 
 
 def _critical_poles(descs: Sequence[SetDescriptor], dim: float,
-                    band: float) -> list[PoleDatum]:
+                    band: float) -> PoleSet:
     """Poles of the union's zeta on Re s = dim with |Im s| <= band, sorted by
     Im: the components' closed forms summed, so a shared pole appears once."""
     form = zeta.MeromorphicForm(sum((zeta.catalog_form(d).terms for d in descs), ()))
@@ -195,7 +195,7 @@ def two_qp_set(m1: int, m2: int, dim: float, band: float = 20.0) -> QPReport:
     return QPReport(
         dim=dim, bases=(m1, m2), ratios=(a1, a2), quasiperiods=(t1, t2),
         oscillatory_periods=(2.0 * math.pi / t1, 2.0 * math.pi / t2), descriptors=(d1, d2),
-        principal_dims=tuple(p.omega for p in _critical_poles((d1, d2), dim, band)),
+        principal_dims=tuple(_critical_poles((d1, d2), dim, band).omega.tolist()),
         independence="quasiperiod ratio log m2 / log m1 irrational by prime "
                      "exponent independence; algebraic independence asserted "
                      "by the transcendence theory of logarithms",
@@ -257,7 +257,7 @@ def ordinate_min_gap(bases: Sequence[int], dim: float, band: float) -> float:
     [-band, band]: the poles on Re s = dim of the union of the C(m, m^{-1/dim}),
     where coinciding ordinates (m_i^{n_j} = m_j^{n_i}) are one pole."""
     descs = [geometry.cantor_set(m, float(m) ** (-1.0 / dim)) for m in bases]
-    taus = np.array([p.omega.imag for p in _critical_poles(descs, dim, band)])
+    taus = _critical_poles(descs, dim, band).omega.imag
     if len(taus) < 2:
         raise ValueError(f"no ordinate gap: fewer than two distinct singularity ordinates "
                          f"in [-{band:g}, {band:g}]")

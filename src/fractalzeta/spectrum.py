@@ -20,7 +20,7 @@ from .zeta import MeromorphicForm, NonconvergenceError, ZetaTerm
 
 __all__ = [
     "Window",
-    "PoleDatum",
+    "PoleSet",
     "poles",
     "residue_analytic",
     "residue_exact",
@@ -52,13 +52,24 @@ class Window:
                 & (abs(s.imag) <= self.tau_max + slack))
 
 
-@dataclass(frozen=True)
-class PoleDatum:
-    """A pole with its order and residue."""
+@dataclass(frozen=True, eq=False)
+class PoleSet:
+    """Simple poles ``omega`` and their residues ``residue``, as two aligned
+    1-D complex arrays; ``len`` is the number of poles."""
 
-    omega: complex
-    order: int
-    residue: complex
+    omega: np.ndarray
+    residue: np.ndarray
+
+    def __post_init__(self) -> None:
+        omega = np.asarray(self.omega, dtype=complex)
+        residue = np.asarray(self.residue, dtype=complex)
+        if omega.ndim != 1 or omega.shape != residue.shape:
+            raise ValueError("omega and residue must be 1-D arrays of one length")
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "residue", residue)
+
+    def __len__(self) -> int:
+        return len(self.omega)
 
 
 def window_for_lattice(dim: float, period: float, kmax: int,
@@ -153,7 +164,7 @@ def _merge(where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(np.abs(np.diff(where[order], prepend=np.inf)) > _MATCH_TOL)
 
 
-def poles(form: MeromorphicForm, w: Window) -> list[PoleDatum]:
+def poles(form: MeromorphicForm, w: Window) -> PoleSet:
     """All poles of the form inside the window, with residues, sorted by
     (Re, Im), real parts within ``_MATCH_TOL`` counting as equal.
 
@@ -164,15 +175,12 @@ def poles(form: MeromorphicForm, w: Window) -> list[PoleDatum]:
     grouped before sorting and a pole's copies meet as neighbours.
     """
     where, res = _residues(form, -w.tau_max, w.tau_max, w.contains)
-    if not len(where):
-        return []
     order, starts = _merge(where)
     where, res = where[order], res[order]
     total = np.add.reduceat(res, starts)
     gross = np.add.reduceat(np.abs(res), starts)
     live = np.abs(total) > _RESIDUE_FLOOR * np.maximum(1.0, gross)
-    return [PoleDatum(omega=complex(o), order=1, residue=complex(r))
-            for o, r in zip(where[starts][live], total[live])]
+    return PoleSet(where[starts][live], total[live])
 
 
 def residue_contour(f: Callable[[complex], complex], omega: complex, radius: float,
@@ -458,7 +466,7 @@ def _nonlattice_roots(rs: np.ndarray, w: Window) -> np.ndarray:
     return np.concatenate((found, found[found.imag > 0].conj()))
 
 
-def spray_dims(ratios: Sequence[float], w: Window) -> list[PoleDatum]:
+def spray_dims(ratios: Sequence[float], w: Window) -> PoleSet:
     """Solutions of Σ_j r_j^ω = 1 in the window, as poles of 1/(1 − Σ r_j^s).
 
     Lattice ratio lists (all powers of a common base) are solved exactly
@@ -510,7 +518,7 @@ def spray_dims(ratios: Sequence[float], w: Window) -> list[PoleDatum]:
     bad = np.abs(dden) < 1e-10
     if bad.any():
         raise ValueError(f"degenerate (multiple) scaling root near {arr[bad][0]}")
-    return [PoleDatum(omega=z, order=1, residue=1 / d) for z, d in zip(arr.tolist(), dden.tolist())]
+    return PoleSet(arr, 1.0 / dden)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +543,11 @@ def fourier_residues(tube: Callable[[np.ndarray], np.ndarray], ambient_dim: int,
     taus = taus[:-1]
     if abs(g_wrap - g[0]) > 1e-9 * max(abs(g[0]), 1e-300):
         raise ValueError("normalized tube profile is not periodic on [tau0, tau0+T]")
-    out: list[tuple[int, complex]] = []
-    for k in range(-kmax, kmax + 1):
-        phase = np.exp(-2j * math.pi * k * taus / period)
-        out.append((k, complex(np.mean(g * phase))))
-    return out
+    # c_k for k >= 0 from powers of one phase array; G is real, so c_-k = conj(c_k)
+    base = np.exp(-2j * math.pi * taus / period)
+    wave = g.astype(complex)
+    coef = [complex(g.mean())]
+    for _ in range(kmax):
+        wave *= base
+        coef.append(complex(wave.mean()))
+    return [(k, coef[k] if k >= 0 else coef[-k].conjugate()) for k in range(-kmax, kmax + 1)]

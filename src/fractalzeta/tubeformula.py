@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, spectrum, zeta
 from .geometry import SetDescriptor
-from .spectrum import PoleDatum, Window
+from .spectrum import PoleSet, Window
 from .zeta import MeromorphicForm
 
 __all__ = [
@@ -72,11 +72,6 @@ def _report(omega: np.ndarray, residue: np.ndarray, ambient_dim: int, t: float,
         imag_residual=abs(total.imag), term_magnitudes=tuple(np.abs(terms).tolist()))
 
 
-def _pole_arrays(pole_data: Sequence[PoleDatum]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([p.omega for p in pole_data], dtype=complex),
-            np.array([p.residue for p in pole_data], dtype=complex))
-
-
 def truncated_tube(desc: SetDescriptor, t: float, window: Window,
                    full: bool = False, delta: float | None = None) -> TubeFormulaReport:
     """Tube volume via residues of the distance zeta over poles in ``window``.
@@ -92,10 +87,10 @@ def truncated_tube(desc: SetDescriptor, t: float, window: Window,
     if t <= 0:
         raise ValueError("t must be positive")
     form = zeta.catalog_form(desc, full=full, delta=delta)
-    omega, residue = _pole_arrays(spectrum.poles(form, window))
-    taus = omega.imag[omega.imag > 1e-12]
+    ps = spectrum.poles(form, window)
+    taus = ps.omega.imag[ps.omega.imag > 1e-12]
     k = int(round(taus.max() / taus.min())) if taus.size else 0
-    return _report(omega, residue, desc.ambient_dim, t, k,
+    return _report(ps.omega, ps.residue, desc.ambient_dim, t, k,
                    geometry.tube_volume(desc, t, full=full))
 
 
@@ -162,51 +157,41 @@ def spray_tube(gen_kind: str, side: float, ratios: Sequence[float], t: float,
     """
     n, rs = _spray_shape(gen_kind, ratios, t)
     gen = zeta._row_term(n, n, (-(-2) ** n,), (side,))
-    roots, root_res = _pole_arrays(spectrum.spray_dims(ratios, window))
+    roots = spectrum.spray_dims(ratios, window)
     gen_roots = np.array(gen.roots, dtype=float)
-    if roots.size and np.abs(np.subtract.outer(roots, gen_roots)).min() < zeta._POLE_TOL:
+    if len(roots) and np.abs(np.subtract.outer(roots.omega, gen_roots)).min() < zeta._POLE_TOL:
         raise ValueError("a generator pole coincides with a scaling root")
-    gen_poles, gen_res = _pole_arrays(spectrum.poles(MeromorphicForm((gen,)), window))
-    gen_res /= spectrum._scaling_f(gen_poles, np.log(rs))  # 1 - Σ r^ω
-    return _report(np.concatenate((roots, gen_poles)),
-                   np.concatenate((gen.value(roots) * root_res, gen_res)), n, t,
-                   roots.size, spray_tube_oracle(gen_kind, side, ratios, t))
+    gp = spectrum.poles(MeromorphicForm((gen,)), window)
+    gen_res = gp.residue / spectrum._scaling_f(gp.omega, np.log(rs))  # over 1 - Σ r^ω
+    return _report(np.concatenate((roots.omega, gp.omega)),
+                   np.concatenate((gen.value(roots.omega) * roots.residue, gen_res)), n, t,
+                   len(roots), spray_tube_oracle(gen_kind, side, ratios, t))
 
 
 # ---------------------------------------------------------------------------
 # measurability
 
 
-def measurability_check(principal_poles: Sequence[PoleDatum],
-                        dim: float) -> MeasurabilityVerdict:
+def measurability_check(principal_poles: PoleSet, dim: float) -> MeasurabilityVerdict:
     """Minkowski measurability from the principal complex dimensions.
 
     Nonreal poles on the critical line Re s = D with nonvanishing residues
     force log-periodic oscillations of V(t)/t^{N-D} (nondegenerate but
     nonmeasurable); a single simple real pole at D is the measurable case.
     """
-    reasons: list[str] = []
-    oscillatory = []
-    real_pole = None
-    for p in principal_poles:
-        if abs(p.omega.real - dim) > 1e-9:
-            raise ValueError(f"pole {p.omega} is not on the critical line Re s = {dim}")
-        if abs(p.residue) <= spectrum._RESIDUE_FLOOR:
-            continue
-        if abs(p.omega.imag) > 1e-12:
-            oscillatory.append(p)
-        else:
-            real_pole = p
-    if real_pole is None:
+    omega = principal_poles.omega
+    off = np.abs(omega.real - dim) > 1e-9
+    if off.any():
+        raise ValueError(f"pole {complex(omega[off][0])} is not on the critical line Re s = {dim}")
+    live = np.abs(principal_poles.residue) > spectrum._RESIDUE_FLOOR
+    real = np.abs(omega.imag) <= 1e-12
+    if not (live & real).any():
         raise ValueError("no pole at s = D among the principal poles")
-    if oscillatory:
-        reasons.append(
-            f"{len(oscillatory)} nonreal principal dimension(s) with nonzero residue "
-            f"(first at {oscillatory[0].omega:.6g}) force log-periodic oscillation")
-        reasons.append("tube envelope is nondegenerate but liminf < limsup")
-        return MeasurabilityVerdict(measurable=False, reasons=tuple(reasons))
-    if real_pole.order > 1:
-        reasons.append("higher-order pole at D: degenerate (log-corrected) content")
-        return MeasurabilityVerdict(measurable=False, reasons=tuple(reasons))
-    reasons.append("only the simple real pole at D carries residue: content limit exists")
-    return MeasurabilityVerdict(measurable=True, reasons=tuple(reasons))
+    oscillatory = omega[live & ~real]
+    if oscillatory.size:
+        return MeasurabilityVerdict(measurable=False, reasons=(
+            f"{oscillatory.size} nonreal principal dimension(s) with nonzero residue "
+            f"(first at {complex(oscillatory[0]):.6g}) force log-periodic oscillation",
+            "tube envelope is nondegenerate but liminf < limsup"))
+    return MeasurabilityVerdict(measurable=True, reasons=(
+        "only the simple real pole at D carries residue: content limit exists",))

@@ -1,5 +1,6 @@
 """Command line interface: artifacts, determinism, schema, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,10 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from fractalzeta import acceptance, cli, geometry, zeta
+from fractalzeta import acceptance, cli, geometry, spectrum, zeta
 
 D_CARPET2 = 1.892789260714372
 
@@ -237,6 +239,40 @@ def test_poles_artifact_and_determinism(tmp_path, schema):
     res = [p for p in art["poles"] if abs(p["re"] - D_CARPET2) < 1e-9]
     assert len(res) >= 3  # dimension line with oscillatory companions
     assert any(p["im"] == 0 for p in res)
+
+
+def test_json_artifact_is_one_compact_sorted_line():
+    payload = {"b": [1.5, -0.0, 1e-300, 0.1 + 0.2], "a": {"z": "ζ", "y": 2}}
+    text = cli._json_artifact(payload)
+    assert text == '{"a": {"y": 2, "z": "ζ"}, "b": [1.5, -0.0, 1e-300, 0.30000000000000004]}\n'
+    assert json.loads(text) == payload
+    with pytest.raises(ValueError):
+        cli._json_artifact({"x": math.nan})
+
+
+@pytest.mark.parametrize("source, window, find", [
+    (["--set", "carpet3"], spectrum.Window(-0.5, 2.98, 60.0),
+     lambda w: spectrum.poles(zeta.catalog_form(geometry.carpet(3)), w)),
+    (["--ratios", "0.5,0.3,0.2"], spectrum.Window(-1.0, 0.99, 40.0),
+     lambda w: spectrum.spray_dims((0.5, 0.3, 0.2), w)),
+], ids=["carpet3", "spray"])
+def test_poles_artifact_loads_back_to_library_arrays(tmp_path, schema, source, window, find):
+    # floats are written by repr, which round-trips exactly
+    out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"
+    args = ["poles", *source, f"--window={window.sigma_left}:{window.sigma_right}:{window.tau_max}"]
+    assert run(args + ["--output", str(out1)]) == 0
+    assert run(args + ["--output", str(out2)]) == 0
+    data = out1.read_bytes()
+    assert data == out2.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == 1
+    art = json.loads(data)
+    jsonschema.validate(art, schema)
+    ps = find(window)
+    assert len(art["poles"]) == len(ps) > 10
+    assert all(p["order"] == 1 for p in art["poles"])
+    for key, want in (("re", ps.omega.real), ("im", ps.omega.imag),
+                      ("res_re", ps.residue.real), ("res_im", ps.residue.imag)):
+        assert np.array_equal(np.array([p[key] for p in art["poles"]]), want), key
 
 
 def test_poles_window_glue_accepts_space_separated_negative(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import brentq
 
 from fractalzeta import geometry, quasi, spectrum, zeta
-from fractalzeta.spectrum import (PoleDatum, Window, poles, residue_analytic,
+from fractalzeta.spectrum import (PoleSet, Window, poles, residue_analytic,
                                   residue_contour, residue_exact, spray_dims,
                                   window_for_lattice)
 
@@ -79,33 +79,29 @@ def test_carpet2_principal_poles_on_dimension_line():
     # tight sigma pad keeps the generator root pole at s = 1 outside
     w = window_for_lattice(D_CARPET2, LN3, 3, sigma_pad=0.05)
     ps = poles(form, w)
-    omegas = [p.omega for p in ps]
     period = 2.0 * math.pi / LN3
     expected = [complex(D_CARPET2, k * period) for k in range(-3, 4)]
     assert len(ps) == 7
-    for got, want in zip(omegas, expected):
+    for got, want in zip(ps.omega, expected):
         assert got == pytest.approx(want, abs=1e-12)
-    for p in ps:
-        assert p.order == 1
 
 
 def test_carpet2_residue_at_dimension_closed_form():
     form = zeta.catalog_form(geometry.carpet(2))
     w = window_for_lattice(D_CARPET2, LN3, 0, sigma_pad=0.05)
-    (p,) = poles(form, w)
+    (res,) = poles(form, w).residue
     want = 2.0 ** (-D_CARPET2) / (D_CARPET2 * (D_CARPET2 - 1.0) * LN3)
     assert want == pytest.approx(0.14505008370361427, rel=1e-15)
-    assert p.residue.real == pytest.approx(want, rel=1e-12)
-    assert p.residue.imag == pytest.approx(0.0, abs=1e-14)
+    assert res.real == pytest.approx(want, rel=1e-12)
+    assert res.imag == pytest.approx(0.0, abs=1e-14)
 
 
 def test_carpet2_conjugate_poles_have_conjugate_residues():
     form = zeta.catalog_form(geometry.carpet(2))
     ps = poles(form, window_for_lattice(D_CARPET2, LN3, 2))
-    by_tau = {round(p.omega.imag, 9): p for p in ps}
-    for tau, p in by_tau.items():
-        q = by_tau[-tau]
-        assert q.residue == pytest.approx(p.residue.conjugate(), rel=1e-12)
+    by_tau = {round(tau, 9): res for tau, res in zip(ps.omega.imag.tolist(), ps.residue.tolist())}
+    for tau, res in by_tau.items():
+        assert by_tau[-tau] == pytest.approx(res.conjugate(), rel=1e-12)
 
 
 def test_full_cantor_zero_pole_is_removable():
@@ -115,10 +111,10 @@ def test_full_cantor_zero_pole_is_removable():
     form = zeta.catalog_form(desc, full=True, delta=1 / 6)
     w = Window(-0.5, 1.0, 1.0)
     ps = poles(form, w)
-    assert all(abs(p.omega) > 1e-9 for p in ps)
+    assert np.all(np.abs(ps.omega) > 1e-9)
     assert residue_analytic(form, 0.0 + 0.0j) == pytest.approx(0.0, abs=1e-10)
     rel_form = zeta.catalog_form(desc)
-    assert any(abs(p.omega) <= 1e-9 for p in poles(rel_form, w))
+    assert np.any(np.abs(poles(rel_form, w).omega) <= 1e-9)
 
 
 def test_contour_residue_matches_analytic():
@@ -149,21 +145,20 @@ def test_spray_dims_lattice_pair():
         complex(0.0, -0.5 * step), complex(0.0, 0.5 * step),
         complex(1.0, -step), complex(1.0, 0.0), complex(1.0, step),
     ], key=lambda z: (z.real, z.imag))
-    got = sorted([p.omega for p in ps], key=lambda z: (z.real, z.imag))
+    got = sorted(ps.omega.tolist(), key=lambda z: (z.real, z.imag))
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert g == pytest.approx(e, abs=1e-10)
-    res_at_1 = next(p for p in ps if abs(p.omega - 1.0) < 1e-9).residue
+    (res_at_1,) = ps.residue[np.abs(ps.omega - 1.0) < 1e-9]
     assert res_at_1 == pytest.approx(2.0 / (3.0 * LN2), rel=1e-10)
 
 
 def test_spray_dims_golden_pair_real_root():
     # 2^{-s} + 4^{-s} = 1 means 2^{-s} is the golden-ratio conjugate
     ps = spray_dims((0.5, 0.25), Window(0.1, 1.0, 0.5))
-    real_roots = [p for p in ps if abs(p.omega.imag) < 1e-12]
-    assert len(real_roots) == 1
+    (root,) = ps.omega[np.abs(ps.omega.imag) < 1e-12]
     want = math.log2((1.0 + math.sqrt(5.0)) / 2.0)
-    assert real_roots[0].omega.real == pytest.approx(want, rel=1e-12)
+    assert root.real == pytest.approx(want, rel=1e-12)
 
 
 def test_spray_dims_nonlattice_real_root_matches_bisection():
@@ -171,19 +166,19 @@ def test_spray_dims_nonlattice_real_root_matches_bisection():
     f = lambda x: 0.5 ** x + (1.0 / 3.0) ** x - 1.0
     want = brentq(f, 0.5, 1.0, xtol=1e-14)
     ps = spray_dims(ratios, Window(0.2, 1.0, 0.5))
-    real_roots = [p for p in ps if abs(p.omega.imag) < 1e-12]
-    assert len(real_roots) == 1
-    assert real_roots[0].omega.real == pytest.approx(want, abs=1e-12)
+    real = np.abs(ps.omega.imag) < 1e-12
+    (root,), (res,) = ps.omega[real], ps.residue[real]
+    assert root.real == pytest.approx(want, abs=1e-12)
     # Moran equation residue: 1 / sum r^w ln(1/r)
     den = sum(r ** want * math.log(1.0 / r) for r in ratios)
-    assert real_roots[0].residue == pytest.approx(1.0 / den, rel=1e-10)
+    assert res == pytest.approx(1.0 / den, rel=1e-10)
 
 
 def test_spray_dims_roots_satisfy_moran_equation():
     w = Window(-0.5, 1.5, 25.0)
     for ratios in ((0.5, 0.25, 0.25), (0.5, 0.25), 8 * (1 / 3,)):
-        for p in spray_dims(ratios, w):
-            val = sum(r ** p.omega for r in ratios)
+        for omega in spray_dims(ratios, w).omega.tolist():
+            val = sum(r ** omega for r in ratios)
             assert abs(val - 1.0) < 1e-10
 
 
@@ -213,7 +208,7 @@ def test_spray_dims_nonlattice_finds_every_counted_root(ratios, count):
     ps = spray_dims(ratios, w)
     assert _count_zeros(ratios, -1.0, 0.99, 200.0) == count
     assert len(ps) == count
-    got = np.array([p.omega for p in ps])
+    got = ps.omega
     assert all(w.contains(z) for z in got)
     assert max(abs(sum(r ** z for r in ratios) - 1.0) for z in got) < 1e-10
     # the set is closed under conjugation and has no repeats
@@ -222,15 +217,15 @@ def test_spray_dims_nonlattice_finds_every_counted_root(ratios, count):
 
 
 def _root_above(ratios, tau):
-    return min((p.omega for p in spray_dims(ratios, Window(-1.0, 0.99, tau + 5.0))
-                if p.omega.imag > tau), key=lambda z: z.imag)
+    omega = spray_dims(ratios, Window(-1.0, 0.99, tau + 5.0)).omega
+    return complex(min(omega[omega.imag > tau], key=lambda z: z.imag))
 
 
 def test_spray_dims_keeps_root_on_window_top_edge():
     z = _root_above((0.5, 1 / 3), 10.0)
     ps = spray_dims((0.5, 1 / 3), Window(-1.0, 0.99, z.imag))
-    assert any(abs(p.omega - z) < 1e-9 for p in ps)
-    assert any(abs(p.omega - z.conjugate()) < 1e-9 for p in ps)
+    assert np.any(np.abs(ps.omega - z) < 1e-9)
+    assert np.any(np.abs(ps.omega - z.conjugate()) < 1e-9)
 
 
 def test_spray_dims_keeps_dimension_on_window_right_edge():
@@ -238,7 +233,7 @@ def test_spray_dims_keeps_dimension_on_window_right_edge():
     dim = brentq(lambda x: 0.5 ** x + (1.0 / 3.0) ** x - 1.0, 0.5, 1.0, xtol=1e-15)
     for w in (Window(0.2, dim, 0.5), Window(-1.0, dim, 30.0)):
         ps = spray_dims(ratios, w)
-        assert any(abs(p.omega - dim) < 1e-12 for p in ps)
+        assert np.any(np.abs(ps.omega - dim) < 1e-12)
         assert len(ps) == _count_zeros(ratios, -1.0 if w.tau_max > 1 else 0.2, dim + 1e-3,
                                        w.tau_max)
 
@@ -264,7 +259,7 @@ def test_spray_dims_moves_counting_edges_off_roots(where):
         tau = 0.5 + (z.imag - 0.5) * n / k - m
     ps = spray_dims(ratios, Window(sl, sr, tau))
     assert len(ps) == _count_zeros(ratios, sl, sr, tau)
-    assert any(abs(p.omega - z) < 1e-9 for p in ps) == (where == "inner")
+    assert np.any(np.abs(ps.omega - z) < 1e-9) == (where == "inner")
 
 
 def test_spray_dims_raises_when_a_counted_root_is_not_found(monkeypatch):
@@ -336,18 +331,17 @@ def test_spray_dims_matches_per_root_reference(ratios, w):
     ps = spray_dims(ratios, w)
     ref = _reference_spray_dims(ratios, w)
     assert len(ps) == len(ref) > 0
-    got = np.array([p.omega for p in ps])
-    match = [int(np.argmin(np.abs(got - omega))) for omega, _ in ref]
+    match = [int(np.argmin(np.abs(ps.omega - omega))) for omega, _ in ref]
     assert sorted(match) == list(range(len(ps)))
     for i, (omega, res) in zip(match, ref):
-        assert abs(got[i] - omega) <= 1e-14 * max(1.0, abs(omega))
-        assert abs(ps[i].residue - res) <= 1e-11 * abs(res)
+        assert abs(ps.omega[i] - omega) <= 1e-14 * max(1.0, abs(omega))
+        assert abs(ps.residue[i] - res) <= 1e-11 * abs(res)
 
 
 @pytest.mark.parametrize("ratios, w", _SPRAY_WINDOWS)
 def test_spray_dims_ordered_like_poles(ratios, w):
     # real parts within 1e-9 are one group, sorted by Im; the groups by Re
-    zs = [p.omega for p in spray_dims(ratios, w)]
+    zs = spray_dims(ratios, w).omega.tolist()
     for p, q in zip(zs, zs[1:]):
         if abs(q.real - p.real) <= 1e-9:
             assert q.imag > p.imag, (p, q)
@@ -384,6 +378,21 @@ def test_fourier_residues_match_tube_zeta_residues():
         assert got[k] == pytest.approx(want, rel=2e-5)
     assert got[-1] == pytest.approx(got[1].conjugate(), rel=1e-9)
     assert got[0].imag == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fourier_residues_match_per_mode_reference():
+    # one exp per mode, as the coefficients were computed before powers of a
+    # single phase array; the k-th power carries about k ulps of each node
+    desc = geometry.cantor_set(2, 1 / 3)
+    tube = lambda t: geometry.tube_volume(desc, t, full=True)
+    kmax, tau0 = 40, math.log(6.0)
+    got = spectrum.fourier_residues(tube, 1, D_CANTOR, LN3, kmax=kmax, tau0=tau0)
+    taus = tau0 + LN3 * np.arange(4096) / 4096
+    g = tube(np.exp(-taus)) * np.exp((1.0 - D_CANTOR) * taus)
+    assert [k for k, _ in got] == list(range(-kmax, kmax + 1))
+    for k, ck in got:
+        want = complex(np.mean(g * np.exp(-2j * math.pi * k * taus / LN3)))
+        assert abs(ck - want) <= 4.0 * max(1, abs(k)) * 2.0 ** -52 * g.mean(), k
 
 
 def test_fourier_residues_reject_nonperiodic_profile():
@@ -423,11 +432,11 @@ def test_poles_sorted_and_within_window():
     form = zeta.catalog_form(geometry.carpet(2))
     w = Window(-0.5, 2.0, 12.0)
     ps = poles(form, w)
-    keys = [(p.omega.real, p.omega.imag) for p in ps]
+    keys = list(zip(ps.omega.real.tolist(), ps.omega.imag.tolist()))
     assert keys == sorted(keys)
-    assert all(w.contains(p.omega) for p in ps)
-    assert any(abs(p.omega - 1.0) < 1e-12 for p in ps)  # generator root pole
-    assert any(abs(p.omega - D_CARPET2) < 1e-12 for p in ps)
+    assert np.all(w.contains(ps.omega))
+    assert np.any(np.abs(ps.omega - 1.0) < 1e-12)  # generator root pole
+    assert np.any(np.abs(ps.omega - D_CARPET2) < 1e-12)
 
 
 def test_poles_merge_a_shared_pole_placed_ulps_apart():
@@ -439,18 +448,66 @@ def test_poles_merge_a_shared_pole_placed_ulps_apart():
     w = Window(dim, dim, band)
     ps = poles(f1.plus(f2), w)
     assert len(ps) == len(poles(f1, w)) + len(poles(f2, w)) - 1 == 17
-    taus = [p.omega.imag for p in ps]
+    taus = ps.omega.imag.tolist()
     assert taus == sorted(taus)
-    (real,) = [p for p in ps if p.omega.imag == 0.0]
-    assert real.omega.real == pytest.approx(dim, rel=1e-15)
+    real = ps.omega.imag == 0.0
+    (omega,), (res,) = ps.omega[real], ps.residue[real]
+    assert omega.real == pytest.approx(dim, rel=1e-15)
     # C(m, a) sums to 2(m-1)(h/2)^s / (s(1 - m a^s)): residue 2(m-1)(h/2)^D / (D ln(1/a))
     want = 0.0
     for m in (2, 3):
         a = m ** (-1.0 / dim)
         want += 2 * (m - 1) * ((1 - m * a) / (2 * (m - 1))) ** dim / (dim * math.log(1 / a))
-    assert real.residue == pytest.approx(want, rel=1e-13)
+    assert res == pytest.approx(want, rel=1e-13)
 
 
-def test_pole_datum_fields():
-    p = PoleDatum(omega=1.0 + 2.0j, order=1, residue=0.5 - 0.25j)
-    assert p.omega == 1.0 + 2.0j and p.order == 1 and p.residue == 0.5 - 0.25j
+# (omega, residue) as each pole was built one at a time before poles came as
+# arrays: carpet2 in [-0.5, 1.99] x [-12, 12], the spray (1/2, 1/3) in
+# [-1, 0.99] x [-12, 12]
+_CARPET2_POLES = [
+    (0j, 1.1428571428571428 + 0j),
+    (1 + 0j, -0.8 - 0j),
+    (1.892789260714372 - 11.438403469520507j, -0.00030697241164675626 - 0.0018169458567408097j),
+    (1.892789260714372 - 5.7192017347602535j, 0.006607300406715472 + 0.002398344796791602j),
+    (1.892789260714372 + 0j, 0.14505008370361427 + 0j),
+    (1.892789260714372 + 5.7192017347602535j, 0.006607300406715472 - 0.002398344796791602j),
+    (1.892789260714372 + 11.438403469520507j, -0.00030697241164675626 + 0.0018169458567408097j),
+]
+_SPRAY_POLES = [
+    (-0.6383199147460755 - 6.49851192136583j, 0.6496841019455378 - 0.32645761159851516j),
+    (-0.6383199147460755 + 6.49851192136583j, 0.6496841019455378 + 0.32645761159851516j),
+    (0.06310206604096867 - 10.497230045625937j, 0.9942157797602934 + 0.36455176716416526j),
+    (0.06310206604096867 + 10.497230045625937j, 0.9942157797602934 - 0.36455176716416526j),
+    (0.7878849110258698 + 0j, 1.1577157346429032 + 0j),
+]
+
+
+@pytest.mark.parametrize("find, window, empty, want", [
+    (lambda w: poles(zeta.catalog_form(geometry.carpet(2)), w), Window(-0.5, 1.99, 12.0),
+     Window(0.2, 0.3, 1.0), _CARPET2_POLES),
+    (lambda w: spray_dims((0.5, 1 / 3), w), Window(-1.0, 0.99, 12.0),
+     Window(0.85, 0.95, 1.0), _SPRAY_POLES),
+], ids=["carpet2", "spray"])
+def test_pole_set_is_two_aligned_complex_arrays(find, window, empty, want):
+    ps = find(window)
+    assert isinstance(ps, PoleSet)
+    assert len(ps) == len(want) == ps.omega.size == ps.residue.size
+    assert ps.omega.shape == ps.residue.shape == (len(want),)
+    assert ps.omega.dtype == ps.residue.dtype == np.complex128
+    # the phase of r^w and q^w carries about |Im w| ulps
+    np.testing.assert_allclose(ps.omega, [w for w, _ in want], rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(ps.residue, [r for _, r in want], rtol=1e-13, atol=1e-16)
+    none = find(empty)
+    assert len(none) == 0
+    assert none.omega.shape == none.residue.shape == (0,)
+    assert none.omega.dtype == none.residue.dtype == np.complex128
+
+
+def test_pole_set_coerces_and_refuses_misaligned_arrays():
+    ps = PoleSet([0.5, 1.0 + 2.0j], (2.0, 0.5 - 0.25j))
+    assert len(ps) == 2 and ps.omega.dtype == ps.residue.dtype == np.complex128
+    assert ps.omega.tolist() == [0.5, 1.0 + 2.0j] and ps.residue.tolist() == [2.0, 0.5 - 0.25j]
+    with pytest.raises(ValueError, match="one length"):
+        PoleSet([0.5, 1.0], [2.0])
+    with pytest.raises(ValueError, match="one length"):
+        PoleSet([[0.5]], [[2.0]])

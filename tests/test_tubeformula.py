@@ -204,27 +204,26 @@ def test_lattice_poles_mean_nonmeasurable():
                                                           sigma_pad=0.05))
     verdict = tubeformula.measurability_check(ps, d)
     assert verdict.measurable is False
-    assert any("oscillation" in r for r in verdict.reasons)
+    assert verdict.reasons == (
+        "4 nonreal principal dimension(s) with nonzero residue (first at 0.63093-11.4384j) "
+        "force log-periodic oscillation", "tube envelope is nondegenerate but liminf < limsup")
 
 
 def test_single_simple_pole_means_measurable():
-    ps = [spectrum.PoleDatum(omega=complex(0.5), order=1, residue=complex(2.0))]
-    verdict = tubeformula.measurability_check(ps, 0.5)
+    verdict = tubeformula.measurability_check(spectrum.PoleSet([0.5], [2.0]), 0.5)
     assert verdict.measurable is True
+    assert verdict.reasons == ("only the simple real pole at D carries residue: content limit exists",)
 
 
 def test_oscillatory_pole_below_floor_ignored():
-    ps = [spectrum.PoleDatum(omega=complex(0.5), order=1, residue=complex(2.0)),
-          spectrum.PoleDatum(omega=complex(0.5, 2.0), order=1,
-                             residue=complex(0.0, 1e-15))]
+    ps = spectrum.PoleSet([0.5, 0.5 + 2.0j], [2.0, 1e-15j])
     verdict = tubeformula.measurability_check(ps, 0.5)
     assert verdict.measurable is True
 
 
 def test_measurability_check_error_paths():
-    off_line = [spectrum.PoleDatum(omega=complex(0.4, 1.0), order=1,
-                                   residue=complex(1.0))]
-    with pytest.raises(ValueError):
+    off_line = spectrum.PoleSet([0.5, 0.4 + 1.0j], [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^pole \(0\.4\+1j\) is not on the critical line Re s = 0\.5$"):
         tubeformula.measurability_check(off_line, 0.5)
-    with pytest.raises(ValueError):
-        tubeformula.measurability_check([], 0.5)  # no pole at the dimension
+    with pytest.raises(ValueError, match="^no pole at s = D among the principal poles$"):
+        tubeformula.measurability_check(spectrum.PoleSet([], []), 0.5)
