@@ -181,6 +181,19 @@ def test_zeta_quad_at_the_dimension_exits_2(capsys):
     assert "delta must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--full", "--delta", "0"], "delta must be positive"),
+    (["--full", "--delta", "inf"], "delta must be positive"),
+    (["--im", "nan"], "s must be finite"),
+])
+def test_zeta_mc_bad_input_exits_2(capsys, extra, message):
+    # refused before any sample is drawn; δ = 0 printed "math domain error"
+    assert run(["zeta", "--set", "carpet2", "--re", "1.97", "--method", "mc",
+                "--n", "1000", "--seed", "1", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_zeta_mc_with_infinite_variance_exits_2(capsys):
     assert run(["zeta", "--set", "carpet2", "--re", "1.92", "--method", "mc",
                 "--n", "1000", "--seed", "11"]) == 2

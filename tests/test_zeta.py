@@ -7,6 +7,7 @@ against each other through the functional equation and scaling identities.
 import functools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -424,6 +425,155 @@ def test_distance_zeta_mc_validation():
         distance_zeta_mc(desc, 1.9, n=1, seed=0)
     with pytest.raises(ValueError):
         distance_zeta_mc(desc, 1.9, n=100, seed=0, full=True)  # needs delta
+    assert distance_zeta_mc(desc, 1.97, n=np.int64(1000), seed=0).samples == 1000
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"s": complex(math.nan, 0.5)}, "s must be finite"),
+    ({"s": complex(1.95, math.inf)}, "s must be finite"),
+    ({"s": complex(1.95, -math.inf)}, "s must be finite"),
+    ({"full": True}, "delta must be positive"),
+    ({"full": True, "delta": math.nan}, "delta must be positive"),
+    ({"full": True, "delta": math.inf}, "delta must be positive"),
+    ({"full": True, "delta": 0.0}, "delta must be positive"),
+    ({"full": True, "delta": -0.45}, "delta must be positive"),
+    ({"n": 1000.0}, "integer"),
+    ({"n": 2.5}, "integer"),
+    ({"n": 1}, "at least two"),
+])
+def test_distance_zeta_mc_refuses_bad_inputs_before_drawing(kwargs, match):
+    # each of these gave a NaN estimate, or "math domain error" at δ <= 0
+    args = {"s": 1.97 + 0.5j, "n": 1000, "delta": None, "full": False} | kwargs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            distance_zeta_mc(geometry.carpet(2), args["s"], args["n"], 0,
+                             delta=args["delta"], full=args["full"])
+
+
+def _cexp_mp(w, x):
+    """exp at the rounded arguments fl(Re w·x) + i·fl(Im w·x), in mpmath."""
+    with mp.workprec(113):
+        return np.array([complex(mp.exp(mp.mpc(a, b)))
+                         for a, b in zip((w.real * x).tolist(), (w.imag * x).tolist())])
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(got - ref) / np.abs(ref)))
+
+
+@pytest.mark.parametrize("im", [0.0, 0.5, -0.5, 2.5, -2.5, 40.0, -40.0, 300.0, -300.0, 1e4])
+def test_cexp_matches_mpmath(im):
+    # x in [-800, 0]: exactly 0, tiny, uniform, and between consecutive table
+    # angles 2πk/M: a quarter of the way, at the midpoint, where |r| = π/M,
+    # and 1e-9 either side of it; |Re w| <= 0.875 keeps e^{Re w·x} a normal float
+    step = 2.0 * math.pi / zeta._CEXP_M
+    x = np.concatenate(([0.0, -1e-300, -800.0], -800.0 * np.random.default_rng(5).random(300)))
+    if im:
+        k = np.array([0, 1, 7, 2047, 4095, 4096, 123457])[:, None]
+        mids = -(k + np.array([0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.75])) * step / abs(im)
+        x = np.concatenate((x, mids[mids >= -800.0]))
+    # at Im w = 1e4 the full range passes 2^19 (numpy's exp); its part below does not
+    below = x[np.abs(im * x) < 2.0**19]
+    for xs in (x, below) if len(below) < len(x) else (x,):
+        for re in (-0.875, -0.3, 0.0, 0.45, 0.875):
+            w = complex(re, im)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = zeta._cexp(w, xs)
+            assert got.dtype == complex and got.shape == xs.shape
+            assert _rel_err(got, _cexp_mp(w, xs)) <= 1e-15, w
+
+
+@pytest.mark.parametrize("im", [1000.0, -1000.0])
+@pytest.mark.parametrize("above", [False, True])
+def test_cexp_fallback_bound(im, above):
+    # the reduction is exact only for |Im w·x| < 2^19; at and past it numpy's
+    # exp takes over, which builds no table
+    w = complex(0.02, im)
+    edge = -(2.0**19) * (1.0 + (1e-12 if above else -1e-12)) / abs(im)
+    x = np.array([edge, 0.5 * edge, -3.0, 0.0])
+    assert (np.abs(w.imag * x).max() >= 2.0**19) == above
+    zeta._cexp_table.cache_clear()
+    got = zeta._cexp(w, x)
+    assert zeta._cexp_table.cache_info().currsize == (0 if above else 1)
+    if above:
+        assert np.array_equal(got, np.exp(w * x))
+    assert _rel_err(got, _cexp_mp(w, x)) <= 1e-15
+
+
+def _numpy_weights(w, log_d, cut):
+    """The Monte Carlo weight as numpy's complex exp gives it: the reference
+    for ``zeta._mc_weights``."""
+    keep = (log_d > -math.inf) & (log_d <= cut)
+    return np.exp(w * np.where(keep, log_d, 0.0)) * keep
+
+
+def test_mc_weights_drop_exactly_what_they_cut():
+    cut = math.log(0.45)
+    log_d = np.array([-math.inf, cut, np.nextafter(cut, 0.0), -700.0, -3.0, 0.0, 2.0, -math.inf])
+    w = 1.97 - 0.5j - 2
+    got = zeta._mc_weights(w, log_d.copy(), cut)
+    ref = _numpy_weights(w, log_d, cut)
+    assert np.array_equal(got == 0, [True, False, True, False, False, True, True, True])
+    assert _rel_err(got[ref != 0], ref[ref != 0]) <= 1e-15
+
+
+_MC_WEIGHT_SETS = {
+    "cantor": (lambda: geometry.cantor_set(2, 1 / 3), 0.9 + 1.0j),
+    "C(5,1/10)": (lambda: geometry.cantor_set(5, 0.1), 0.95 - 0.7j),
+    "carpet2": (lambda: geometry.carpet(2), 1.97 - 0.5j),
+    "carpet3": (lambda: geometry.carpet(3), 2.99 + 1.0j),
+    "nest": (lambda: geometry.fractal_nest(0.5, 40), 1.7 + 0.5j),
+    "custom string": (lambda: geometry.string_set(_CUSTOM), 0.7 + 0.4j),
+    "a-string 1": (lambda: geometry.a_string_set(1.0), 0.9 + 0.4j),
+    "flat drum": (geometry.flat_drum, 2.5 + 1.0j),
+}
+
+
+@pytest.mark.parametrize("name, full, lam", [
+    *((name, full, lam) for name in ("cantor", "C(5,1/10)", "carpet2", "carpet3")
+      for full in (False, True) for lam in (1.0, 1.7)),
+    ("nest", False, 1.0), ("nest", True, 1.0), ("custom string", False, 1.0),
+    ("custom string", True, 1.0), ("a-string 1", False, 1.0), ("flat drum", False, 1.0),
+])
+def test_distance_zeta_mc_matches_numpy_weights(name, full, lam, monkeypatch):
+    # the same seed draws the same points; only the weight's exp differs
+    make, s = _MC_WEIGHT_SETS[name]
+    desc = geometry.scaled(make(), lam) if lam != 1.0 else make()
+    delta = 0.45 * lam if full else None
+    est = distance_zeta_mc(desc, s, n=150_000, seed=21, delta=delta, full=full)
+    monkeypatch.setattr(zeta, "_mc_weights", _numpy_weights)
+    ref = distance_zeta_mc(desc, s, n=150_000, seed=21, delta=delta, full=full)
+    assert abs(est.value - ref.value) <= 1e-13 * abs(ref.value)
+    assert est.std_err == pytest.approx(ref.std_err, rel=1e-13)
+
+
+@pytest.mark.parametrize("make, s, full", [
+    (lambda: geometry.carpet(2), 1.97 - 0.5j, True),
+    (lambda: geometry.fractal_nest(0.5, 40), 1.7 + 0.5j, True),
+    # a gap index past the float range is a point of A, at d = 0
+    (lambda: geometry.a_string_set(0.01), 1.0 + 0.5j, False),
+])
+def test_distance_zeta_mc_dropped_samples_weigh_zero(make, s, full, monkeypatch):
+    seen, weights = [], zeta._mc_weights
+
+    def spy(w, log_d, cut):
+        before = log_d.copy()
+        vals = weights(w, log_d, cut)
+        seen.append((w, before, cut, vals))
+        return vals
+
+    monkeypatch.setattr(zeta, "_mc_weights", spy)
+    distance_zeta_mc(make(), s, n=2 * 2**16 + 11, seed=4, delta=0.45 if full else None, full=full)
+    assert len(seen) == 3
+    dropped = 0
+    for w, log_d, cut, vals in seen:
+        keep = (log_d > -math.inf) & (log_d <= cut)
+        assert np.all(vals[~keep] == 0.0) and np.all(vals[keep] != 0.0)
+        assert _rel_err(vals[keep], np.exp(w * log_d[keep])) <= 1e-15
+        dropped += np.count_nonzero(~keep)
+    assert dropped > 0
 
 
 # --- homothety invariance --------------------------------------------------------
