@@ -13,9 +13,10 @@ the zeta-function and tube-formula machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -112,11 +113,8 @@ class GapLadder:
         if not (0 < self.gap_ratio < 1 and self.first_gap > 0):
             raise ValueError("a ladder needs 0 < gap_ratio < 1 and first_gap > 0")
         # total deleted volume must converge
-        if not self.count_ratio * self.gap_ratio**self.hole_dim < 1 + 1e-15:
+        if not self.volume_ratio < 1:
             raise ValueError("the holes' total volume diverges (count_ratio·gap_ratio^N >= 1)")
-
-    def gap(self, k: int) -> float:
-        return self.first_gap * self.gap_ratio ** (k - 1)
 
     @property
     def volume_ratio(self) -> float:
@@ -139,166 +137,6 @@ class GapLadder:
         """Multiplicative period log(1/gap_ratio) of the ladder."""
         return math.log(1.0 / self.gap_ratio)
 
-    def depth_for(self, tmin: float) -> int:
-        """Smallest depth k0 with gap_{k0+1} <= 2*tmin (holes below resolution)."""
-        if 2.0 * tmin >= self.first_gap:
-            return 0
-        k = int(math.ceil(math.log(self.first_gap / (2.0 * tmin)) / math.log(1.0 / self.gap_ratio)))
-        while self.gap(k + 1) > 2.0 * tmin:
-            k += 1
-        while k > 0 and self.gap(k + 1) <= 2.0 * tmin * self.gap_ratio:
-            k -= 1
-        return k
-
-
-@dataclass(frozen=True)
-class SetDescriptor:
-    """A catalog set A together with its reference region Ω.
-
-    kind: ``cantor`` | ``carpet`` | ``aString`` | ``nest`` | ``flatDrum`` |
-          ``customString`` | ``boxBoundary``
-    ambient_dim: dimension N of the ambient space.
-    scale: homothety factor applied to the unit construction (A -> λA, Ω -> λΩ).
-    """
-
-    kind: str
-    ambient_dim: int
-    scale: float = 1.0
-    m: int | None = None
-    a: float | None = None
-    J: int | None = None
-    K: int | None = None
-    ladder: GapLadder | None = None
-    string: FractalString | None = None
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    @property
-    def gap_width(self) -> float:
-        """First-level gap h of a ternary-type set (unit scale)."""
-        if self.kind != "cantor":
-            raise AttributeError("gap_width is only defined for cantor descriptors")
-        return (1.0 - self.m * self.a) / (self.m - 1)
-
-    @property
-    def similarity_dim(self) -> float:
-        if self.ladder is not None:
-            return self.ladder.similarity_dim
-        if self.kind == "aString":
-            return 1.0 / (1.0 + self.a)
-        if self.kind == "nest":
-            return 2.0 / (1.0 + self.a)
-        if self.kind == "boxBoundary":
-            return float(self.ambient_dim - 1)
-        raise AttributeError(f"no closed-form dimension for kind {self.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def cantor_set(m: int, a: float) -> SetDescriptor:
-    """Generalized ternary set C(m, a): m blocks of ratio a in [0, 1].
-
-    Requires 1/m > a > 0 so that m-1 gaps of width h = (1-ma)/(m-1) remain.
-    m = 2, a = 1/3 is the classical middle-thirds set.
-    """
-    if m < 2:
-        raise ValueError("need at least two blocks")
-    if not 0 < a < 1.0 / m:
-        raise ValueError("block ratio must satisfy 0 < a < 1/m")
-    h = (1.0 - m * a) / (m - 1)
-    ladder = GapLadder(first_count=m - 1, count_ratio=m, first_gap=h, gap_ratio=a, hole_dim=1)
-    return SetDescriptor(kind="cantor", ambient_dim=1, m=m, a=a, ladder=ladder)
-
-
-def carpet(ambient_dim: int) -> SetDescriptor:
-    """Ternary carpet: middle-cell removal in [0,1]^N, N = 2 or 3.
-
-    N=2 keeps 8 of 9 subsquares per step, N=3 keeps 26 of 27 subcubes.
-    """
-    if ambient_dim not in (2, 3):
-        raise ValueError("carpet is implemented for ambient dimension 2 and 3")
-    keep = 3**ambient_dim - 1
-    ladder = GapLadder(first_count=1, count_ratio=keep, first_gap=1.0 / 3.0,
-                       gap_ratio=1.0 / 3.0, hole_dim=ambient_dim)
-    return SetDescriptor(kind="carpet", ambient_dim=ambient_dim, ladder=ladder)
-
-
-def _a_string_length(j: np.ndarray | float, a: float):
-    # l_j = j^-a - (j+1)^-a, computed without cancellation for large j
-    return j ** (-a) * (-np.expm1(-a * np.log1p(1.0 / j)))
-
-
-def a_string(a: float, J: int) -> FractalString:
-    """Explicit a-string: lengths ℓ_j = j^{-a} - (j+1)^{-a}, j = 1..J."""
-    if a <= 0:
-        raise ValueError("exponent must be positive")
-    if J < 1:
-        raise ValueError("need at least one length")
-    j = np.arange(1, J + 1, dtype=float)
-    lengths = _a_string_length(j, a)
-    entries = tuple((float(l), 1) for l in lengths)
-    return FractalString(entries=entries)
-
-
-def a_string_set(a: float, J: int | None = None) -> SetDescriptor:
-    """The a-string as a bounded subset {0} ∪ {j^{-a}} of [0, 1].
-
-    J = None uses the full infinite string (tube volumes in closed form);
-    finite J truncates at the J-th gap.
-    """
-    if a <= 0:
-        raise ValueError("exponent must be positive")
-    return SetDescriptor(kind="aString", ambient_dim=1, a=a, J=J)
-
-
-def string_set(string: FractalString) -> SetDescriptor:
-    """Wrap an explicit string as a 1-D descriptor (lengths laid end to end)."""
-    return SetDescriptor(kind="customString", ambient_dim=1, string=string)
-
-
-def fractal_nest(a: float, K: int) -> SetDescriptor:
-    """Nest of K concentric circles of radii k^{-a} inside the unit disk."""
-    if a <= 0:
-        raise ValueError("exponent must be positive")
-    if K < 1:
-        raise ValueError("need at least one circle")
-    return SetDescriptor(kind="nest", ambient_dim=2, a=a, K=K)
-
-
-def _nest_radii(desc: SetDescriptor) -> np.ndarray:
-    k = np.arange(1, desc.K + 1, dtype=float)
-    return k ** (-desc.a)
-
-
-def flat_drum() -> SetDescriptor:
-    """The origin relative to the cusp region {(x, y): 0 < x < 1, 0 < y < e^{-1/x}}."""
-    return SetDescriptor(kind="flatDrum", ambient_dim=2)
-
-
-def box_boundary(ambient_dim: int = 2) -> SetDescriptor:
-    """Boundary of the unit box [0,1]^N relative to the box itself."""
-    if ambient_dim < 1:
-        raise ValueError("ambient dimension must be positive")
-    return SetDescriptor(kind="boxBoundary", ambient_dim=ambient_dim)
-
-
-def scaled(desc: SetDescriptor, lam: float) -> SetDescriptor:
-    """Homothety: both the set and its region scaled by λ > 0."""
-    if lam <= 0:
-        raise ValueError("scaling factor must be positive")
-    return SetDescriptor(
-        kind=desc.kind, ambient_dim=desc.ambient_dim, scale=desc.scale * lam,
-        m=desc.m, a=desc.a, J=desc.J, K=desc.K, ladder=desc.ladder, string=desc.string,
-    )
-
-
-# ---------------------------------------------------------------------------
-# hole tables
-
 
 class _Holes(NamedTuple):
     """The tube of a drum as a sum over the holes of Ω \\ A.
@@ -311,6 +149,11 @@ class _Holes(NamedTuple):
     volume is Σ_i counts[i]·h_i(min(t, radii[i])) over all rows and levels;
     its kinks are the finite radii, and once they are all passed it is |Ω|.
 
+    A homothety by x maps inradius ρ to xρ and multiplies the coefficient of
+    t^m by x^{N-m}, so a row's coefficients are ρ^{N-m} times its shape's,
+    those of the same hole at inradius 1.  A descriptor's ``holes`` holds
+    shapes in place of coefficients, at unit scale (``_hole_table``).
+
     Every hole of a finite row is a cube, a gap, an annulus or a disk, and
     covers h(t) = h(ρ)(1 - (1 - t/ρ)^k) within t of its boundary, k being the
     degree of h: N for cubes, 1 for gaps and annuli, 2 for the nest's centre
@@ -322,6 +165,194 @@ class _Holes(NamedTuple):
     radii: np.ndarray
     coeffs: np.ndarray
     ratios: tuple[int, float] | None = None
+
+
+class _Region(NamedTuple):
+    """Ω at unit scale: the box [0, size]^N, or with ``ball`` the ball of radius size about 0."""
+
+    size: float
+    ball: bool = False
+
+
+@dataclass(frozen=True)
+class SetDescriptor:
+    """A catalog drum: a set A together with its reference region Ω.
+
+    kind: ``cantor`` | ``carpet`` | ``aString`` | ``nest`` | ``flatDrum`` |
+          ``customString`` | ``boxBoundary``, a label: only the flat drum and
+          the infinite a-string are treated apart downstream.
+    ambient_dim: dimension N of the ambient space.
+    scale: homothety factor applied to the unit construction (A -> λA, Ω -> λΩ).
+
+    Each constructor builds, once and at unit scale, what every routine
+    downstream reads: ``holes``, the hole table at δ = ∞ with shapes in
+    place of coefficients (``_Holes``); ``region``, Ω as a box or a ball
+    (``_Region``); ``oracle(desc, u)``, d(u, A) at unit scale; and ``dim``,
+    the similarity dimension.  Each is None where the drum has none (the flat
+    drum has no holes and its cusp is no box); none takes part in eq or hash.
+    """
+
+    kind: str
+    ambient_dim: int
+    scale: float = 1.0
+    m: int | None = None
+    a: float | None = None
+    J: int | None = None
+    K: int | None = None
+    ladder: GapLadder | None = None
+    string: FractalString | None = None
+    holes: _Holes | None = field(default=None, compare=False, repr=False)
+    region: _Region | None = field(default=None, compare=False)
+    oracle: Callable | None = field(default=None, compare=False, repr=False)
+    dim: float | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, not {self.scale}")
+
+    @property
+    def gap_width(self) -> float:
+        """First-level gap h of a ternary-type set (unit scale)."""
+        if self.kind != "cantor":
+            raise AttributeError("gap_width is only defined for cantor descriptors")
+        return (1.0 - self.m * self.a) / (self.m - 1)
+
+    @property
+    def similarity_dim(self) -> float:
+        if self.dim is None:
+            raise AttributeError(f"no closed-form dimension for kind {self.kind!r}")
+        return self.dim
+
+
+# ---------------------------------------------------------------------------
+# constructors
+
+
+def _check_int(value, least: int, what: str) -> None:
+    if not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{what} must be an integer >= {least}, not {value!r}")
+
+
+def _check_exponent(a: float) -> None:
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"exponent must be positive and finite, not {a!r}")
+
+
+def _ladder_set(kind: str, ambient_dim: int, ladder: GapLadder, oracle, **params) -> SetDescriptor:
+    """A ladder drum in the unit box: its first level heads the family of all others."""
+    g = ladder.first_gap
+    head = _Holes(np.array([float(ladder.first_count)]), np.array([g / 2.0]),
+                  _cube_shape(ambient_dim), (ladder.count_ratio, ladder.gap_ratio))
+    return SetDescriptor(kind=kind, ambient_dim=ambient_dim, ladder=ladder, holes=head,
+                         region=_Region(1.0), oracle=oracle, dim=ladder.similarity_dim, **params)
+
+
+def cantor_set(m: int, a: float) -> SetDescriptor:
+    """Generalized ternary set C(m, a): m blocks of ratio a in [0, 1].
+
+    Requires an integer m >= 2 and 1/m > a > 0 so that m-1 gaps of width
+    h = (1-ma)/(m-1) remain.  m = 2, a = 1/3 is the classical middle-thirds set.
+    """
+    _check_int(m, 2, "the block count m")
+    if not 0 < a < 1.0 / m:
+        raise ValueError("block ratio must satisfy 0 < a < 1/m")
+    h = (1.0 - m * a) / (m - 1)
+    ladder = GapLadder(first_count=m - 1, count_ratio=m, first_gap=h, gap_ratio=a, hole_dim=1)
+    return _ladder_set("cantor", 1, ladder, _cantor_distance_unit, m=m, a=a)
+
+
+def carpet(ambient_dim: int) -> SetDescriptor:
+    """Ternary carpet: middle-cell removal in [0,1]^N, N = 2 or 3.
+
+    N=2 keeps 8 of 9 subsquares per step, N=3 keeps 26 of 27 subcubes.
+    """
+    if not (isinstance(ambient_dim, Integral) and ambient_dim in (2, 3)):
+        raise ValueError("carpet is implemented for ambient dimension 2 and 3")
+    keep = 3**ambient_dim - 1
+    ladder = GapLadder(first_count=1, count_ratio=keep, first_gap=1.0 / 3.0,
+                       gap_ratio=1.0 / 3.0, hole_dim=ambient_dim)
+    return _ladder_set("carpet", ambient_dim, ladder, _carpet_distance_unit)
+
+
+def _a_string_length(j: np.ndarray | float, a: float):
+    # l_j = j^-a - (j+1)^-a, computed without cancellation for large j
+    return j ** (-a) * (-np.expm1(-a * np.log1p(1.0 / j)))
+
+
+def a_string(a: float, J: int) -> FractalString:
+    """Explicit a-string: lengths ℓ_j = j^{-a} - (j+1)^{-a}, j = 1..J."""
+    _check_exponent(a)
+    _check_int(J, 1, "the number of lengths J")
+    j = np.arange(1, J + 1, dtype=float)
+    lengths = _a_string_length(j, a)
+    entries = tuple((float(l), 1) for l in lengths)
+    return FractalString(entries=entries)
+
+
+def a_string_set(a: float, J: int | None = None) -> SetDescriptor:
+    """The a-string as a bounded subset {0} ∪ {j^{-a}} of [0, 1].
+
+    J = None uses the full infinite string (tube volumes in closed form);
+    finite J truncates at the J-th gap, and its region is the box [0, |Ω|]
+    that its gaps fill end to end.
+    """
+    _check_exponent(a)
+    if J is not None:
+        _check_int(J, 1, "the number of lengths J")
+    lengths = _a_string_length(np.arange(1.0, _a_string_head(a) if J is None else J + 1.0), a)
+    size, oracle = (1.0, _a_string_distance_unit) if J is None else \
+        (float(lengths.sum()), _finite_a_string_distance)
+    # a gap covers 2t within t of its ends: shape 2
+    holes = _Holes(np.ones(len(lengths)), lengths / 2.0, np.full((len(lengths), 1), 2.0))
+    return SetDescriptor(kind="aString", ambient_dim=1, a=a, J=J, holes=holes,
+                         region=_Region(size), oracle=oracle, dim=1.0 / (1.0 + a))
+
+
+def string_set(string: FractalString) -> SetDescriptor:
+    """Wrap an explicit string as a 1-D descriptor (lengths laid end to end)."""
+    lengths = np.array([float(l) for l, _ in string.entries])
+    counts = np.array([float(mult) for _, mult in string.entries])
+    holes = _Holes(counts, lengths / 2.0, np.full((len(lengths), 1), 2.0))
+    return SetDescriptor(kind="customString", ambient_dim=1, string=string, holes=holes,
+                         region=_Region(float((counts * lengths).sum())))
+
+
+def fractal_nest(a: float, K: int) -> SetDescriptor:
+    """Nest of K concentric circles of radii k^{-a} inside the unit disk."""
+    _check_exponent(a)
+    _check_int(K, 1, "the number of circles K")
+    r = np.arange(1.0, K + 1.0) ** -a  # descending, r[0] = 1
+    # r_k - r_{k+1} is the a-string gap ℓ_k, free of cancellation
+    radii = np.append(_a_string_length(np.arange(1.0, K), a) / 2.0, r[-1])
+    shapes = np.zeros((K, 2))
+    shapes[:-1, 0] = 2.0 * math.pi * (r[:-1] + r[1:]) / radii[:-1]  # annuli
+    shapes[-1] = (2.0 * math.pi, -math.pi)                          # centre disk
+    return SetDescriptor(kind="nest", ambient_dim=2, a=a, K=K, dim=2.0 / (1.0 + a),
+                         holes=_Holes(np.ones(K), radii, shapes), region=_Region(1.0, ball=True),
+                         oracle=_nest_distance_unit)
+
+
+def flat_drum() -> SetDescriptor:
+    """The origin relative to the cusp region {(x, y): 0 < x < 1, 0 < y < e^{-1/x}}."""
+    return SetDescriptor(kind="flatDrum", ambient_dim=2, oracle=_flat_distance_unit)
+
+
+def box_boundary(ambient_dim: int = 2) -> SetDescriptor:
+    """Boundary of the unit box [0,1]^N relative to the box itself."""
+    _check_int(ambient_dim, 1, "the ambient dimension")
+    holes = _Holes(np.ones(1), np.array([0.5]), _cube_shape(ambient_dim))
+    return SetDescriptor(kind="boxBoundary", ambient_dim=ambient_dim, holes=holes,
+                         region=_Region(1.0), dim=float(ambient_dim - 1),
+                         oracle=_box_distance_unit if ambient_dim > 1 else None)
+
+
+def scaled(desc: SetDescriptor, lam: float) -> SetDescriptor:
+    """Homothety: both the set and its region scaled by λ, 0 < λ < ∞."""
+    return replace(desc, scale=desc.scale * lam)
+
+
+# ---------------------------------------------------------------------------
+# hole tables
 
 
 def _truncated(desc: SetDescriptor) -> bool:
@@ -342,10 +373,11 @@ def _a_string_head(a: float, s: complex = 0.0) -> int:
     return max(math.ceil(16.0 * (1.0 + a)), math.ceil((1.0 + a) * abs(s)))
 
 
-def _cube_coeffs(n: int, sides: np.ndarray) -> np.ndarray:
-    """Coefficients of g^n - (g - 2t)^n in t^1..t^n, one row per side g."""
-    factors = [-math.comb(n, j) * (-2.0) ** j for j in range(1, n + 1)]
-    return np.power.outer(sides, np.arange(n - 1.0, -1.0, -1.0)) * factors
+@cache
+def _cube_shape(n: int) -> np.ndarray:
+    """Coefficients of 2^n - (2 - 2t)^n in t^1..t^n, as one row: the shape of
+    an n-cube of inradius 1."""
+    return np.array([[(-1.0) ** (j + 1) * math.comb(n, j) * 2.0**n for j in range(1, n + 1)]])
 
 
 def _ball_volume(j: int) -> float:
@@ -356,63 +388,46 @@ def _ball_volume(j: int) -> float:
 def _collar_coeffs(desc: SetDescriptor) -> list[float]:
     """Coefficients in t^1..t^N of the outer collar |A_t \\ Ω|.
 
-    It is a Euclidean Steiner polynomial: 2t for every kind on a line, the
-    annulus around the nest's unit disk, and Σ_j C(N, j) λ^{N-j} ω_j t^j
-    around the box λ[0,1]^N of ladder sets and box boundaries.  The flat
-    drum, a relative construction only, has no collar.
+    It is the Euclidean Steiner polynomial of the region: Σ_j C(N, j)
+    L^{N-j} ω_j t^j around the box [0, L]^N (2t on a line), and
+    ω_N((R + t)^N - R^N) around the ball of radius R.  The flat drum, a
+    relative construction only, has no collar.
     """
-    lam, n = desc.scale, desc.ambient_dim
-    if desc.kind == "nest":
-        return [2.0 * math.pi * lam, math.pi]
-    return [math.comb(n, j) * lam ** (n - j) * _ball_volume(j) for j in range(1, n + 1)]
+    n, (size, ball) = desc.ambient_dim, desc.region
+    size *= desc.scale
+    return [math.comb(n, j) * size ** (n - j) * _ball_volume(n if ball else j)
+            for j in range(1, n + 1)]
 
 
 def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes:
-    """The holes of Ω \\ A, and with ``full`` the outer collar, as a ``_Holes``.
+    """The holes of λΩ \\ λA, and with ``full`` the outer collar, as a ``_Holes``.
 
-    Ladder levels with gaps wider than 2δ are rows of their own; the level
-    after them heads the geometric family of all narrower ones, whose holes
-    are all saturated for t >= δ.  The infinite a-string holds its gaps
-    j < ``_a_string_head(a)`` only; ``zeta`` sums the others in closed form.
-    The flat drum has no holes.
+    The descriptor's unit table is scaled by λ.  A family head above δ
+    becomes its levels with inradius above δ, rows of their own, then the
+    first level at or below δ, heading the family of all narrower ones,
+    which are all saturated for t >= δ.  The flat drum has no holes.
     """
-    lam = desc.scale
-    n = desc.ambient_dim
-    ratios = None
-    if desc.ladder is not None:
-        lad = desc.ladder
-        ks = np.arange(lad.depth_for(delta / lam) + 1, dtype=float)
-        counts = lad.first_count * float(lad.count_ratio) ** ks
-        sides = lam * lad.first_gap * lad.gap_ratio**ks
-        radii, coeffs = sides / 2.0, _cube_coeffs(n, sides)
-        ratios = (lad.count_ratio, lad.gap_ratio)
-    elif desc.kind == "boxBoundary":
-        counts, radii, coeffs = np.ones(1), np.array([lam / 2.0]), _cube_coeffs(n, np.array([lam]))
-    elif desc.kind == "nest":
-        r = lam * _nest_radii(desc)  # descending, r[0] = λ
-        counts = np.ones(len(r))
-        # r_k - r_{k+1} is the a-string gap ℓ_k, free of cancellation
-        widths = lam * _a_string_length(np.arange(1.0, len(r)), desc.a)
-        radii = np.append(widths / 2.0, r[-1])
-        coeffs = np.zeros((len(r), 2))
-        coeffs[:-1, 0] = 2.0 * math.pi * (r[:-1] + r[1:])  # annuli
-        coeffs[-1] = (2.0 * math.pi * r[-1], -math.pi)     # centre disk
-    elif desc.kind in ("aString", "customString"):
-        if desc.kind == "aString":
-            last = _a_string_head(desc.a) - 1 if desc.J is None else desc.J
-            j = np.arange(1.0, last + 1.0)
-            lengths, counts = lam * _a_string_length(j, desc.a), np.ones(len(j))
-        else:
-            lengths = lam * np.array([float(l) for l, _ in desc.string.entries])
-            counts = np.array([float(mult) for _, mult in desc.string.entries])
-        radii, coeffs = lengths / 2.0, np.full((len(lengths), 1), 2.0)
-    else:
+    unit = desc.holes
+    if unit is None:
         raise ValueError(f"no hole table for kind {desc.kind!r}")
+    counts, radii, shapes = unit.counts, desc.scale * unit.radii, unit.coeffs
+    if unit.ratios is not None and radii[-1] > delta:
+        m, a, rho = *unit.ratios, radii[-1]
+        # k, the first level whose inradius ρa^k is at most δ, from the logs
+        # up to rounding; the radii then count the levels above δ exactly
+        k = math.ceil((math.log(rho) - math.log(delta)) / -math.log(a))
+        j = np.arange(k + 2.0)
+        family = rho * a**j
+        levels = np.count_nonzero(family > delta) + 1
+        counts = np.concatenate((counts[:-1], counts[-1] * float(m) ** j[:levels]))
+        radii = np.concatenate((radii[:-1], family[:levels]))
+        shapes = np.concatenate((shapes[:-1], np.repeat(shapes[-1:], levels, axis=0)))
+    coeffs = shapes * np.power.outer(radii, desc.ambient_dim - np.arange(1.0, len(shapes.T) + 1.0))
     if full:
-        counts = np.append(1.0, counts)
-        radii = np.append(math.inf, radii)
-        coeffs = np.vstack((_collar_coeffs(desc), coeffs))
-    return _Holes(counts, radii, coeffs, ratios)
+        counts = np.concatenate(([1.0], counts))
+        radii = np.concatenate(([math.inf], radii))
+        coeffs = np.concatenate(([_collar_coeffs(desc)], coeffs))
+    return _Holes(counts, radii, coeffs, unit.ratios)
 
 
 def _degrees(coeffs: np.ndarray) -> np.ndarray:
@@ -719,50 +734,39 @@ def _a_string_distance_unit(desc: SetDescriptor, x: np.ndarray) -> np.ndarray:
     return d
 
 
+def _finite_a_string_distance(desc: SetDescriptor, x: np.ndarray) -> np.ndarray:
+    raise ValueError("distances are implemented for the infinite a-string")
+
+
 def _nest_distance_unit(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
     rho = np.linalg.norm(pts, axis=1)
-    r = _nest_radii(desc)[::-1]
-    pos = np.searchsorted(r, rho)
-    cands = []
-    for p in (pos - 1, pos):
-        pc = np.clip(p, 0, len(r) - 1)
-        cands.append(np.abs(rho - r[pc]))
-    return np.minimum(cands[0], cands[1])
+    r = (np.arange(1.0, desc.K + 1.0) ** -desc.a)[::-1]
+    pos = np.searchsorted(r, rho)  # the nearest circles are r[pos - 1] and r[pos]
+    return np.minimum(np.abs(rho - r[np.maximum(pos - 1, 0)]),
+                      np.abs(rho - r[np.minimum(pos, len(r) - 1)]))
+
+
+def _flat_distance_unit(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(pts, axis=1)  # A = {0}
+
+
+def _box_distance_unit(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
+    interior = np.minimum(pts, 1.0 - pts).min(axis=1)
+    outside = np.linalg.norm(pts - np.clip(pts, 0.0, 1.0), axis=1)
+    inside = np.all((pts >= 0) & (pts <= 1), axis=1)
+    return np.where(inside, np.maximum(interior, 0.0), outside)
 
 
 def distance_many(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
-    """d(x, A) for an (n, N) array of points (or (n,) when N = 1)."""
-    lam = desc.scale
-    arr = np.asarray(pts, dtype=float)
-    if desc.ambient_dim == 1:
-        arr = arr.reshape(-1)
-        u = arr / lam
-        if desc.kind == "cantor":
-            return lam * _cantor_distance_unit(desc, u)
-        if desc.kind == "aString":
-            if desc.J is not None:
-                raise ValueError("distances are implemented for the infinite a-string")
-            return lam * _a_string_distance_unit(desc, u)
+    """d(x, A) for an (n, N) array of points (or (n,) when N = 1), from the
+    descriptor's oracle at unit scale."""
+    if desc.oracle is None:
         raise ValueError(f"no distance oracle for kind {desc.kind!r}")
-    arr = arr.reshape(-1, desc.ambient_dim)
-    u = arr / lam
-    if desc.kind == "carpet":
-        return lam * _carpet_distance_unit(desc, u)
-    if desc.kind == "nest":
-        return lam * _nest_distance_unit(desc, u)
-    if desc.kind == "flatDrum":
-        return lam * np.linalg.norm(u, axis=1)
-    if desc.kind == "boxBoundary":
-        interior = np.minimum(u, 1.0 - u).min(axis=1)
-        clamped = np.clip(u, 0.0, 1.0)
-        outside = np.linalg.norm(u - clamped, axis=1)
-        inside = np.all((u >= 0) & (u <= 1), axis=1)
-        return lam * np.where(inside, np.maximum(interior, 0.0), outside)
-    raise ValueError(f"no distance oracle for kind {desc.kind!r}")
+    lam, n = desc.scale, desc.ambient_dim
+    u = np.asarray(pts, dtype=float).reshape((-1,) if n == 1 else (-1, n)) / lam
+    return lam * desc.oracle(desc, u)
 
 
 def distance(desc: SetDescriptor, x) -> float:
     """d(x, A) for a single point."""
-    if desc.ambient_dim == 1:
-        return float(distance_many(desc, np.array([float(x)]))[0])
-    return float(distance_many(desc, np.array([x], dtype=float))[0])
+    return float(distance_many(desc, np.asarray(x, dtype=float))[0])

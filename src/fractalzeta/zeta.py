@@ -224,12 +224,9 @@ def catalog_form(desc: SetDescriptor, full: bool = False,
 
 @functools.lru_cache(maxsize=256)
 def _catalog_form(desc: SetDescriptor, full: bool, delta: float | None) -> MeromorphicForm:
-    try:
-        holes = None if geometry._truncated(desc) else geometry._hole_table(desc, math.inf)
-    except ValueError:  # the flat drum has no holes
-        holes = None
-    if holes is None:
+    if desc.holes is None or geometry._truncated(desc):
         raise ValueError(f"no closed zeta form for kind {desc.kind!r}")
+    holes = geometry._hole_table(desc, math.inf)
     n = desc.ambient_dim
     degrees = geometry._degrees(holes.coeffs)
     # a row of cubes has c_N = count·(±2^N), exact in floats
@@ -504,7 +501,9 @@ def tube_zeta_quad(desc: SetDescriptor, s: complex, delta: float,
         if s.real <= 1.0 / (1.0 + desc.a):
             raise NonconvergenceError(
                 f"tube zeta diverges for Re s <= 1/(1 + a) = {1.0 / (1.0 + desc.a):g}")
-        table_desc = replace(desc, J=geometry._a_string_head(desc.a, s) - 1)
+        head = geometry._a_string_head(desc.a, s) - 1
+        if head > len(desc.holes.radii):  # more gaps than the stored table holds
+            table_desc = geometry.scaled(geometry.a_string_set(desc.a, head), desc.scale)
     holes = geometry._hole_table(table_desc, delta, full=full)
     m = np.arange(1, holes.coeffs.shape[1] + 1)
     r = np.minimum(holes.radii, delta)
@@ -623,17 +622,18 @@ def _variance_threshold(desc: SetDescriptor) -> float | None:
     """(N + D)/2, below which d(x, A)^{s-N} has infinite variance on Ω.
 
     E|d^{s-N}|² is the distance zeta at 2 Re s - N, finite only above the
-    dimension D: log m / log(1/a) for a ladder, whose hole table ends in a
-    geometric family, 1/(1 + a) for the infinite a-string, and N - 1 for
-    every other (finite) table.  The flat drum has no holes and no
+    dimension D: log m / log(1/a) for a hole table that ends in a geometric
+    family of ratios (m, a), 1/(1 + a) for the infinite a-string, and N - 1
+    for every other (finite) table.  The flat drum has no holes and no
     threshold: its tube is flat, so every moment of d^{s-N} is finite.
     """
     n = desc.ambient_dim
     if desc.kind == "flatDrum":
         return None
     if geometry._truncated(desc):
-        return (n + 1.0 / (1.0 + desc.a)) / 2.0
-    dim = n - 1.0 if desc.ladder is None else desc.ladder.similarity_dim
+        return (n + desc.similarity_dim) / 2.0
+    ratios = desc.holes.ratios
+    dim = n - 1.0 if ratios is None else math.log(ratios[0]) / math.log(1.0 / ratios[1])
     return (n + dim) / 2.0
 
 
@@ -680,8 +680,9 @@ def _mc_draw(desc: SetDescriptor, s: complex, delta: float | None,
              full: bool) -> tuple[float, Callable[[int, np.random.Generator], np.ndarray]]:
     """``(scale, draw)``: ``draw(count, rng)`` gives d(x, A)^{s-N} at ``count``
     uniform points of Ω, or in full mode d^{s-N}·[d <= δ] at points of a box
-    around A_δ, ``scale`` being the region's volume.  ∂Ω lies in A, so a box
-    point outside Ω is at the norm of its per-axis gaps to Ω.  ``_cexp`` gives
+    around A_δ, ``scale`` being the region's volume.  ∂Ω lies in A, so a
+    point outside Ω is at its distance to Ω: the norm of its per-axis gaps to
+    a box, or its distance to a ball's surface.  ``_cexp`` gives
     d^{s-N} within a few ulp; seeded values match numpy's exp to about 1e-15."""
     ndim = desc.ambient_dim
     if desc.kind == "flatDrum":
@@ -692,18 +693,17 @@ def _mc_draw(desc: SetDescriptor, s: complex, delta: float | None,
         law = geometry._hole_law(desc)
     scale, cut = region_volume(desc), math.inf
     if full:
-        # Ω is the nest's disk of radius λ, or the box [0, size]^N: a string
-        # on a line fills [0, |Ω|], as the hole law does not see where it sits
-        disk = desc.kind == "nest"
-        size = scale if ndim == 1 and desc.ladder is None else desc.scale
-        lo, width = (-size - delta, 2.0 * (size + delta)) if disk else (-delta, size + 2.0 * delta)
+        # Ω is the box [0, size]^N or the ball of radius size about 0
+        size, ball = desc.region
+        size *= desc.scale
+        lo, width = (-size - delta, 2.0 * (size + delta)) if ball else (-delta, size + 2.0 * delta)
         scale, cut = width**ndim, math.log(delta)
 
     def draw(count: int, rng: np.random.Generator) -> np.ndarray:
         if full:
             x = lo + width * rng.random((ndim, count))
-            gaps = x if disk else np.maximum(np.maximum(-x, x - size), 0.0)
-            gap = np.maximum(np.sqrt(np.square(gaps).sum(axis=0)) - (size if disk else 0.0), 0.0)
+            gaps = x if ball else np.maximum(np.maximum(-x, x - size), 0.0)
+            gap = np.maximum(np.sqrt(np.square(gaps).sum(axis=0)) - (size if ball else 0.0), 0.0)
             inside = np.flatnonzero(gap == 0.0)
             del x, gaps  # before the weights' scratch arrays
             with np.errstate(divide="ignore"):

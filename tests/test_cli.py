@@ -207,6 +207,16 @@ def test_zeta_closed_unavailable_for_flat_drum(capsys):
     assert "error:" in err and "no closed zeta form for kind 'flatDrum'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tube", "--set", "cantor", "--t", "0.1", "--scale", "inf"],
+    ["zeta", "--set", "cantor", "--re", "1.2", "--scale", "nan"],
+], ids=["tube scale inf", "zeta scale nan"])
+def test_non_finite_scale_exits_2(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "scale must be positive and finite" in err
+
+
 # scipy is a test dependency only: with it blocked, every import of it raises
 _WITHOUT_SCIPY = """
 import sys

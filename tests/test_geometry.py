@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalzeta import geometry
+from fractalzeta import geometry, zeta
 from fractalzeta.geometry import FractalString
 from mp_oracles import flat_tube_mp
 
@@ -563,13 +563,109 @@ def test_similarity_dims():
     assert geometry.box_boundary(3).similarity_dim == 2.0
 
 
-def test_ladder_depth_for_brackets_resolution():
-    ladder = geometry.cantor_set(3, 0.2).ladder
-    for t in (0.03, 1e-3, 1e-7):
-        k0 = ladder.depth_for(t)
-        assert ladder.gap(k0 + 1) <= 2 * t
-        if k0 > 0:
-            assert ladder.gap(k0) > 2 * t
+_LADDERS = {
+    "C(3,0.2)": lambda: geometry.cantor_set(3, 0.2),
+    "carpet2": lambda: geometry.carpet(2),
+    "carpet3": lambda: geometry.carpet(3),
+}
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("name", list(_LADDERS))
+def test_ladder_hole_table_holds_levels_above_delta(name, lam):
+    desc = geometry.scaled(_LADDERS[name](), lam)
+    lad, n = desc.ladder, desc.ambient_dim
+    inradius = lambda j: lam * lad.first_gap / 2 * lad.gap_ratio**j  # level j >= 0
+    table = lambda delta: geometry._hole_table(desc, delta)
+    at_level = [table(math.inf).radii[0], table(0.03).radii[-1], table(1e-3).radii[2]]
+    below = [np.nextafter(r, 0.0) for r in at_level]  # a level just above δ is a row
+    for delta in [0.03, 1e-3, 1e-7] + at_level + below:
+        holes = table(delta)
+        k = len(holes.radii) - 1  # rows 0..k-1 above δ, then the family head
+        assert np.all(holes.radii[:-1] > delta) and holes.radii[-1] <= delta, delta
+        assert inradius(k) <= delta * (1 + 1e-15)
+        assert k == 0 or inradius(k - 1) > delta * (1 - 1e-15)
+        np.testing.assert_allclose(holes.radii, [inradius(j) for j in range(k + 1)], rtol=1e-15)
+        assert holes.counts.tolist() == [lad.first_count * lad.count_ratio**j for j in range(k + 1)]
+        assert holes.ratios == (lad.count_ratio, lad.gap_ratio)
+        # each row is a cube of side 2ρ: h(ρ) = (2ρ)^N
+        full = (holes.coeffs * holes.radii[:, None] ** np.arange(1, n + 1)).sum(axis=1)
+        np.testing.assert_allclose(full, (2 * holes.radii) ** n, rtol=1e-14)
+
+
+_NEST_GAP = (1 - 2**-0.5) / 2  # inradius of the annulus between r = 1 and r = 2^{-1/2}
+
+_UNIT_TABLES = {  # counts, radii, shapes, family ratios, region (size, ball)
+    "C(2,1/3)": (lambda: geometry.cantor_set(2, 1 / 3),
+                 [1], [1 / 6], [[2]], (2, 1 / 3), (1, False)),
+    "carpet2": (lambda: geometry.carpet(2), [1], [1 / 6], [[8, -4]], (8, 1 / 3), (1, False)),
+    "box3": (lambda: geometry.box_boundary(3), [1], [0.5], [[24, -24, 8]], None, (1, False)),
+    "nest(0.5,2)": (lambda: geometry.fractal_nest(0.5, 2), [1, 1], [_NEST_GAP, 2**-0.5],
+                    [[2 * math.pi * (1 + 2**-0.5) / _NEST_GAP, 0], [2 * math.pi, -math.pi]],
+                    None, (1, True)),
+    "a-string(1,3)": (lambda: geometry.a_string_set(1.0, 3), [1, 1, 1], [1 / 4, 1 / 12, 1 / 24],
+                      [[2], [2], [2]], None, (3 / 4, False)),
+    "custom string": (lambda: geometry.string_set(_CUSTOM), [1, 2, 3], [1 / 4, 1 / 8, 1 / 16],
+                      [[2], [2], [2]], None, (11 / 8, False)),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNIT_TABLES))
+def test_constructor_builds_unit_table_and_region(name):
+    make, counts, radii, shapes, ratios, region = _UNIT_TABLES[name]
+    desc = make()
+    assert desc.holes.counts.tolist() == counts
+    np.testing.assert_allclose(desc.holes.radii, radii, rtol=1e-15)
+    np.testing.assert_allclose(desc.holes.coeffs, shapes, rtol=1e-15)
+    assert desc.holes.ratios == ratios
+    assert desc.region.size == pytest.approx(region[0], rel=1e-15)
+    assert desc.region.ball is region[1]
+    # the table is built once and shared by every homothety copy
+    assert geometry.scaled(desc, 1.7).holes is desc.holes
+
+
+def test_infinite_a_string_and_flat_drum_tables():
+    desc = geometry.a_string_set(1.0)
+    j = np.arange(1.0, geometry._a_string_head(1.0))
+    np.testing.assert_allclose(desc.holes.radii, 1 / (2 * j * (j + 1)), rtol=1e-15)  # ℓ_j = 1/(j(j+1))
+    assert desc.region == (1.0, False)
+    flat = geometry.flat_drum()
+    assert flat.holes is None and flat.region is None
+    with pytest.raises(ValueError, match="no hole table for kind 'flatDrum'"):
+        geometry._hole_table(flat, 0.1)
+
+
+@pytest.mark.parametrize("name", list(_EVERY_KIND) + ["flat drum"])
+def test_scaling_round_trip_keeps_equality_and_hash(name):
+    desc = geometry.flat_drum() if name == "flat drum" else _EVERY_KIND[name]()
+    back = geometry.scaled(geometry.scaled(desc, 2.0), 0.5)
+    assert back == desc and hash(back) == hash(desc)
+    if desc.holes is not None and not geometry._truncated(desc):
+        zeta.catalog_form(desc)
+        hits = zeta._catalog_form.cache_info().hits
+        assert zeta.catalog_form(back) is zeta.catalog_form(desc)
+        assert zeta._catalog_form.cache_info().hits == hits + 2
+
+
+# --- malformed drums are refused where they are built ----------------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: geometry.scaled(geometry.cantor_set(2, 1 / 3), math.nan), "scale must be positive"),
+    (lambda: geometry.scaled(geometry.cantor_set(2, 1 / 3), math.inf), "scale must be positive"),
+    (lambda: geometry.SetDescriptor(kind="cantor", ambient_dim=1, scale=math.nan),
+     "scale must be positive"),
+    (lambda: geometry.a_string_set(1.0, J=0), "J must be an integer >= 1"),
+    (lambda: geometry.a_string_set(1.0, J=-3), "J must be an integer >= 1"),
+    (lambda: geometry.cantor_set(2.5, 0.1), "m must be an integer >= 2"),
+    (lambda: geometry.fractal_nest(0.5, 2.5), "K must be an integer >= 1"),
+    (lambda: geometry.carpet(2.0), "ambient dimension 2 and 3"),
+    (lambda: geometry.GapLadder(2, 2, 0.5, 0.5, 1), "total volume diverges"),
+], ids=["scaled nan", "scaled inf", "scale nan", "J=0", "J=-3", "m=2.5", "K=2.5",
+        "carpet 2.0", "ladder m*a^N=1"])
+def test_malformed_drum_is_refused_at_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # --- invariants under homothety and monotonicity -----------------------------------

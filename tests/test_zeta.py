@@ -348,6 +348,17 @@ def test_distance_zeta_mc_hole_law_matches_closed(name, s, lam, full):
     assert abs(est.value - ref) < 4.0 * est.std_err
 
 
+@pytest.mark.parametrize("s", [1.7 + 0.5j, 2.3 - 1j])
+@pytest.mark.parametrize("name", ["nest", "nest x1.7"])
+def test_distance_zeta_mc_full_nest_matches_closed(name, s):
+    # full mode samples the square around the nest's disk, Ω being a ball
+    desc = _HOLE_LAW_SETS[name]()
+    delta = 0.45 * desc.scale
+    ref = distance_zeta_closed(desc, s, delta=delta, full=True)
+    est = distance_zeta_mc(desc, s, n=200_000, seed=13, delta=delta, full=True)
+    assert abs(est.value - ref) < 4.0 * est.std_err
+
+
 @pytest.mark.parametrize("name, s", [
     ("nest", 1.7 + 0.5j),
     ("nest x1.7", 1.7 + 0.5j),
