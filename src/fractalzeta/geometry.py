@@ -252,11 +252,8 @@ def cantor_set(m: int, a: float) -> SetDescriptor:
 
     Requires an integer m >= 2 and 1/m > a > 0 so that m-1 gaps of width
     h = (1-ma)/(m-1) remain.  m = 2, a = 1/3 is the classical middle-thirds set.
-    a is stored as a float; for distances a float equal to fl(1/n) stands for
-    1/n, and any other float for its binary value (``_exact_ratio``).
     """
     _check_int(m, 2, "the block count m")
-    a = float(a)
     if not 0 < a < 1.0 / m:
         raise ValueError("block ratio must satisfy 0 < a < 1/m")
     h = (1.0 - m * a) / (m - 1)
@@ -651,153 +648,64 @@ def tube_breakpoints(desc: SetDescriptor, tmin: float, tmax: float) -> np.ndarra
 # distances
 
 
-def _exact_ratio(a: float) -> Fraction:
-    """The block ratio of ``cantor_set(m, a)`` as an exact rational: a float equal
-    to fl(1/n) for an integer n stands for 1/n, so ``cantor_set(2, 1/3)`` is the
-    middle-thirds set; any other float stands for its own binary value."""
-    n = round(1.0 / a)
-    return Fraction(1, n) if 1.0 / n == a else Fraction(a)
-
-
-@cache
-def _depth_cap(A: int, B: int) -> int:
-    """Least depth N with (A/B)^N / 2 <= 2^-1075.  A cell of side (A/B)^N of a
-    Cantor set or carpet has its boundary in the set, so a point still inside
-    one there lies within 2^-1075 of the set: its distance rounds to 0."""
-    n, num, den = 0, 1 << 1074, 1
-    while num > den:
-        n, num, den = n + 1, num * A, den * B
-    return n
-
-
-def _cantor_distance_point(x: float, m: int, A: int, B: int) -> float:
-    """d(x, C) for 0 <= x <= 1, C = C(m, A/B), correctly rounded.
-
-    Exact rational digit recursion: y = Y/Q, measured in units of 1/(B(m-1)Q),
-    block j starts at j(B-A)Q and is A(m-1)Q long, gap j is (B-mA)Q long.  The
-    depth cap proves x in C to within rounding; with A = 1 the reduced states
-    are finitely many, and a repeated one proves it exactly.
-    """
-    if x == 0.0:
-        return 0.0
-    Y, Q = x.as_integer_ratio()
-    # while y <= a the recursion only divides by a: take those levels at once
-    depth = max(int(math.log(x) / math.log(A / B)) - 2, 0)
-    Y, Q = Y * B**depth, Q * A**depth
-    while Y * B <= Q * A:
-        Y, Q, depth = Y * B, Q * A, depth + 1
-    seen = set()
-    for depth in range(depth, _depth_cap(A, B)):
-        if A == 1:
-            r = math.gcd(Y, Q)
-            Y, Q = Y // r, Q // r
-            if (Y, Q) in seen:
-                return 0.0
-            seen.add((Y, Q))
-        T = Y * B * (m - 1)
-        j = min(T // ((B - A) * Q), m - 1)
-        off = T - j * (B - A) * Q
-        g = off - A * (m - 1) * Q
-        if g > 0:
-            return min(g, (B - m * A) * Q - g) * A**depth / (B**(depth + 1) * (m - 1) * Q)
-        Y, Q = off, A * (m - 1) * Q  # y -> (y - j·span) / a
-    return 0.0
-
-
-# levels a digit recursion runs in int64 before its points go one by one
-_FAST_LEVELS = 64
-
-
-def _put_quotients(d: np.ndarray, idx: np.ndarray, num: np.ndarray, den: int) -> None:
-    """d[idx] = num / den correctly rounded, for int64 num and a Python int den."""
-    nf = num.astype(float)
-    # one IEEE division of two exact operands rounds correctly
-    exact = (nf.astype(np.int64) == num) & (den // (den & -den) < 2**53)
-    d[idx[exact]] = nf[exact] / float(den)
-    d[idx[~exact]] = [int(v) / den for v in num[~exact]]
-
-
 def _cantor_distance_unit(desc: SetDescriptor, x: np.ndarray) -> np.ndarray:
-    """d(x, C(m, a)), correctly rounded, by exact digit recursion.
-
-    With a = 1/B the state y = Z/((m-1)Q), Q = 2^K, keeps its denominator, so
-    points on the 2^-K grid run the recursion in int64 for their first levels;
-    the rest, and every point when 1/a is not an integer, take
-    ``_cantor_distance_point``.
-    """
-    m = desc.m
-    ratio = _exact_ratio(desc.a)
-    A, B = ratio.numerator, ratio.denominator
-    d = np.where(x < 0, -x, x - 1.0)  # outside [0, 1]; NaN stays NaN
-    inside = np.flatnonzero((x >= 0) & (x <= 1))
-    slow = inside
-    if A == 1 and B * (m - 1) <= 2**9:
-        K = 62 - (B * (m - 1) - 1).bit_length()  # T = Z·B stays below 2^62
-        Q = 1 << K
-        scaled_x = np.ldexp(x[inside], K)
-        grid = scaled_x == np.floor(scaled_x)
-        slow, idx = inside[~grid], inside[grid]
-        Z = scaled_x[grid].astype(np.int64) * (m - 1)
-        for depth in range(_FAST_LEVELS):
-            if not idx.size:
-                break
-            T = Z * B
-            off = T - np.minimum(T // ((B - 1) * Q), m - 1) * ((B - 1) * Q)
-            g = off - (m - 1) * Q
-            gap = g > 0
-            _put_quotients(d, idx[gap], np.minimum(g[gap], (B - m) * Q - g[gap]),
-                           B**(depth + 1) * (m - 1) * Q)
-            idx, Z = idx[~gap], off[~gap]
-        slow = np.concatenate((slow, idx))
-    d[slow] = [_cantor_distance_point(float(v), m, A, B) for v in x[slow]]
+    m, a = desc.m, desc.a
+    h = desc.gap_width
+    span = a + h
+    d = np.zeros_like(x)
+    below = x < 0
+    above = x > 1
+    d[below] = -x[below]
+    d[above] = x[above] - 1.0
+    y = x.copy()
+    active = ~(below | above)
+    length = 1.0
+    while active.any() and length > 1e-300:
+        ya = y[active]
+        j = np.minimum(np.floor(ya / span), m - 1)
+        off = ya - j * span
+        in_gap = off > a
+        gap_off = off - a
+        d_active = d[active]
+        d_active[in_gap] = length * np.minimum(gap_off[in_gap], h - gap_off[in_gap])
+        d[active] = d_active
+        # recurse into blocks
+        idx = np.flatnonzero(active)
+        keep = idx[~in_gap]
+        y[keep] = off[~in_gap] / a
+        newactive = np.zeros_like(active)
+        newactive[keep] = True
+        active = newactive
+        length *= a
     return d
 
 
-def _carpet_distance_point(y: tuple[float, ...]) -> float:
-    """d(y, carpet) for y in [0, 1]^N, correctly rounded: the digit recursion
-    y -> 3y - g on integers over the common denominator Q of y's coordinates.
-    Q stays fixed, so a repeated state proves y in the carpet."""
-    ratios = [v.as_integer_ratio() for v in y]
-    Q = max(q for _, q in ratios)
-    Y = tuple(p * (Q // q) for p, q in ratios)
-    seen = set()
-    for depth in range(_depth_cap(1, 3)):
-        if Y in seen:
-            return 0.0
-        seen.add(Y)
-        g = [min(3 * v // Q, 2) for v in Y]
-        Y = tuple(3 * v - gi * Q for v, gi in zip(Y, g))
-        if g.count(1) == len(g):
-            # interior of the removed middle cell: distance to its own boundary
-            return min(min(v, Q - v) for v in Y) / (3**(depth + 1) * Q)
-    return 0.0
-
-
 def _carpet_distance_unit(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
-    """d(y, carpet), correctly rounded inside the unit cube, by exact digit
-    recursion: points on the 2^-60 grid in int64 for their first levels, the
-    rest through ``_carpet_distance_point``."""
+    n = desc.ambient_dim
     clamped = np.clip(pts, 0.0, 1.0)
-    d = np.linalg.norm(pts - clamped, axis=1)
-    inside = np.flatnonzero(d == 0.0)
-    K = 60  # 3·Z stays below 2^62
-    Q = 1 << K
-    scaled_pts = np.ldexp(clamped[inside], K)
-    grid = np.all(scaled_pts == np.floor(scaled_pts), axis=1)
-    slow, idx = inside[~grid], inside[grid]
-    Z = scaled_pts[grid].astype(np.int64)
-    for depth in range(_FAST_LEVELS):
-        if not idx.size:
-            break
-        U = 3 * Z
-        g = np.minimum(U // Q, 2)
-        Z = U - g * Q
-        mid = np.all(g == 1, axis=1)
-        _put_quotients(d, idx[mid], np.minimum(Z[mid], Q - Z[mid]).min(axis=1),
-                       3**(depth + 1) * Q)
-        idx, Z = idx[~mid], Z[~mid]
-    slow = np.concatenate((slow, idx))
-    d[slow] = [_carpet_distance_point(tuple(map(float, p))) for p in clamped[slow]]
+    outside = np.linalg.norm(pts - clamped, axis=1)
+    d = outside.copy()
+    y = clamped.copy()
+    active = outside == 0.0
+    length = 1.0
+    while active.any() and length > 1e-300:
+        ya = y[active]
+        g = np.minimum(np.floor(3.0 * ya), 2.0)
+        mid = np.all(g == 1.0, axis=1)
+        rel = 3.0 * ya - g
+        # interior of the removed middle cell: distance to its own boundary
+        if mid.any():
+            face = np.minimum(rel[mid], 1.0 - rel[mid]).min(axis=1)
+            d_active = d[active]
+            d_active[mid] = (length / 3.0) * face
+            d[active] = d_active
+        idx = np.flatnonzero(active)
+        keep = idx[~mid]
+        y[keep] = rel[~mid]
+        newactive = np.zeros_like(active)
+        newactive[keep] = True
+        active = newactive
+        length /= 3.0
     return d
 
 
@@ -851,8 +759,7 @@ def _box_distance_unit(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
 
 def distance_many(desc: SetDescriptor, pts: np.ndarray) -> np.ndarray:
     """d(x, A) for an (n, N) array of points (or (n,) when N = 1), from the
-    descriptor's oracle at unit scale.  Cantor sets and carpets are correctly
-    rounded there; a scaled drum adds the roundings of x/λ and of λ·d."""
+    descriptor's oracle at unit scale."""
     if desc.oracle is None:
         raise ValueError(f"no distance oracle for kind {desc.kind!r}")
     lam, n = desc.scale, desc.ambient_dim
