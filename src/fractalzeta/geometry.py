@@ -551,48 +551,153 @@ def full_tube_volume(desc: SetDescriptor, t: float | np.ndarray) -> float | np.n
     return tube_volume(desc, t, full=True)
 
 
-def _hole_law(desc: SetDescriptor) -> Callable[[int, np.random.Generator], np.ndarray]:
-    """``draw(count, rng)``: log d(x, A) for ``count`` uniform points x of Ω.
+_STRATUM_FLOOR = 64  # fewest samples that make a part of the tube a stratum of its own
 
-    A is Lebesgue-null and each hole's boundary lies in A, so the exact law is
-    read off the hole table at δ = ∞, built once here.  A point lies in row i
-    with probability count_i·h_i(ρ_i)/|Ω|; a one-row table draws no row.  A
-    family head, the only row of a ladder's table, stands for level j >= 0
-    with probability (1 - p)·p^j, p = m·a^N, and inradius ρ·a^j, drawn by
-    inversion: j = ⌊log(1 - U)/log p⌋, as P(j >= k) = p^k.  Inside its hole
-    the distance is ρ(1 - U^{1/k}) (see ``_Holes``), U uniform on [0, 1) and
-    U = 0 the hole's centre, so every draw is finite.  The infinite a-string,
-    whose table is truncated, lies in gap j with probability ℓ_j, so
-    P(j >= k) = k^{-a} and j = ⌊V^{-1/a}⌋ for V uniform on (0, 1]; a j past
-    the float range is a point of A, at distance 0.  Drawn in log space,
-    nothing underflows however deep the level.
+
+class _Strata(NamedTuple):
+    """A drum's distance law cut into strata, for Monte Carlo (``_hole_law``).
+
+    Stratum h covers volume ``volumes[h]`` and takes ``samples[h]`` of the
+    samples, the pool last.  ``draw(ids, counts, rng, out=None)`` writes log
+    d(x, A) for counts[i] uniform points x of stratum ids[i], ids being
+    consecutive, one after another into ``out``, or a fresh array, and
+    returns it.  ``cut`` is log δ when a drawn distance may exceed δ, which
+    then weighs 0, +∞ when one may be 0, a point of A, and None when neither
+    can happen.
     """
-    holes = None if _truncated(desc) else _hole_table(desc, math.inf)
-    if holes is not None:
-        log_radii, degrees = np.log(holes.radii), _degrees(holes.coeffs)
-        cum = np.cumsum(_saturated_volumes(holes, desc.ambient_dim))
 
-    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
-        if holes is None:
-            with np.errstate(over="ignore", divide="ignore"):
-                j = np.floor((1.0 - rng.random(count)) ** (-1.0 / desc.a))
-                log_r = np.log(desc.scale * _a_string_length(j, desc.a) / 2.0)
-            degree = 1
-        elif len(cum) == 1:
-            log_r, degree = log_radii[0], int(degrees[0])
+    volumes: np.ndarray
+    samples: np.ndarray
+    draw: Callable[..., np.ndarray]
+    cut: float | None
+
+
+def _radial(u: np.ndarray, degree) -> np.ndarray:
+    """log(d/r) from a uniform u in [0, 1), in place: log(1 - u^{1/k}) in a
+    hole of degree k >= 1 and inradius r, log(1 - u)/j in the collar's power
+    j = -k, r being δ there (see ``_hole_law``).  ``degree`` is a number, or
+    an array of one per point."""
+    with np.errstate(divide="ignore"):
+        if np.ndim(degree):
+            k = np.abs(degree)
+            u[...] = np.where(degree > 0, np.log(-np.expm1(np.log(u) / k)), np.log1p(-u) / k)
+        elif degree == 1 or degree < 0:  # 1 - u^{1/1} is 1 - u
+            np.log1p(np.negative(u, out=u), out=u)
+            if degree < -1:
+                u /= -degree
         else:
-            row = np.minimum(np.searchsorted(cum, cum[-1] * rng.random(count), side="right"),
-                             len(cum) - 1)
-            log_r, degree = log_radii[row], degrees[row]
-        if holes is not None and holes.ratios is not None:  # at δ = ∞ the head is the only row
-            m, a = holes.ratios  # 1 - U is exact: U lies on the 2^-53 grid
-            levels = np.floor(np.log(1.0 - rng.random(count)) / math.log(m * a**desc.ambient_dim))
-            log_r = log_r + levels * math.log(a)
-        with np.errstate(divide="ignore"):
-            log_u = np.log(rng.random(count))
-        return log_r + np.log(-np.expm1(log_u / degree))
+            np.log(u, out=u)
+            u /= degree
+            np.negative(np.expm1(u, out=u), out=u)
+            np.log(u, out=u)
+    return u
 
-    return draw
+
+def _hole_law(desc: SetDescriptor, samples: int = 0, delta: float | None = None) -> _Strata:
+    """The law of log d(x, A) for x uniform in Ω, or with ``delta`` in A_δ,
+    cut into strata for ``samples`` Monte Carlo samples.
+
+    A is Lebesgue-null and each hole's boundary lies in A, so the law is read
+    off the hole table: a row of holes covers count·h(ρ), and inside a hole
+    the distance is ρ(1 - U^{1/k}) (see ``_Holes``), U uniform on [0, 1) and
+    U = 0 the hole's centre, so every draw is finite.  In full mode the outer
+    collar Σ_j c_j t^j (``_collar_coeffs``) adds a part c_j·δ^j for each
+    power j, in which d = δ·V^{1/j}, V = 1 - U in (0, 1].  The box beyond δ
+    weighs 0 and is not drawn; a hole wider than δ is drawn whole, and its
+    points beyond δ weigh 0.
+
+    The strata are, in this order, the collar's powers and the table's rows
+    (a ladder's family levels, head first) whose proportional share of the
+    samples, ⌊samples·V_h/V⌋, reaches ``_STRATUM_FLOOR``, then the pool.  The
+    pool takes the other samples, at least 2, the largest stratum giving or
+    taking the difference, and draws the unstratified law of the rest: a part
+    by volume, then for a ladder's family a level j >= J by inversion, j = J
+    + ⌊log(1 - U)/log p⌋ for p = m·a^N as P(j >= J + k) = p^k, and for the
+    infinite a-string, whose table holds its gaps j < J only, a gap j >= J
+    by inversion, j = ⌊J·V^{-1/a}⌋ as P(j >= k) = (J/k)^a; a j past the float
+    range is a point of A, at distance 0.  Drawn in log space, nothing
+    underflows however deep the level.
+    """
+    n, unit, lam = desc.ambient_dim, desc.holes, desc.scale
+    coll = np.array([] if delta is None else _collar_coeffs(desc))
+    powers = np.arange(1.0, len(coll) + 1.0)
+    coll *= (delta or 1.0) ** powers  # the volume c_j·δ^j of each power
+    total = region_volume(desc) + coll.sum()
+    holes = _hole_table(desc, math.inf)
+    if unit.ratios is not None:
+        # the family levels j whose share samples·w₀p^j/V reaches the floor
+        # become rows: those above δ_s, half a level past the last of them
+        m, a = unit.ratios
+        log_p, log_a = math.log(m * a**n), math.log(a)
+        share = samples * _saturated_volumes(holes, n)[-1] * -math.expm1(log_p) / total
+        if share >= _STRATUM_FLOOR:  # level 0's
+            levels = math.floor(math.log(_STRATUM_FLOOR / share) / log_p) + 1
+            holes = _hole_table(desc, lam * unit.radii[-1] * a ** (levels - 0.5))
+    rows = len(holes.radii) - (unit.ratios is not None)  # the family head pools the rest
+    vols = np.concatenate((coll, _saturated_volumes(holes, n)))
+    log_r = np.concatenate((np.full(len(coll), math.log(delta or 1.0)), np.log(holes.radii)))
+    degrees = np.concatenate((-powers, _degrees(holes.coeffs)))
+    strat = np.zeros(len(vols), bool)
+    strat[:len(coll) + rows] = samples * vols[:len(coll) + rows] >= _STRATUM_FLOOR * total
+    if _truncated(desc):  # the gaps j >= J, past the table, hold λJ^{-a}
+        gap = len(holes.radii) + 1.0
+        vols, log_r = np.append(vols, lam * gap**-desc.a), np.append(log_r, 0.0)
+        degrees, strat = np.append(degrees, 1.0), np.append(strat, False)
+
+        def tail(v):
+            with np.errstate(over="ignore", divide="ignore"):
+                j = np.floor(gap * v ** (-1.0 / desc.a))
+                return np.log(lam * _a_string_length(j, desc.a) / 2.0)
+    elif unit.ratios is not None:
+        def tail(v):
+            return np.floor(np.log(v) / log_p) * log_a
+    else:
+        tail = None
+    counts = np.floor(samples * vols[strat] / total).astype(np.int64)
+    rest = samples - int(counts.sum())
+    pooled = 0 if strat.all() else max(rest, 2)
+    if len(counts):
+        counts[np.argmax(counts)] += rest - pooled
+    cum, volumes = np.cumsum(vols[~strat]), vols[strat]
+    if pooled:
+        volumes, counts = np.append(volumes, cum[-1]), np.append(counts, pooled)
+    s_log_r, s_deg = log_r[strat], degrees[strat]
+    last, p_log_r, p_deg = len(cum) - 1, log_r[~strat], degrees[~strat]
+
+    def pool(count: int, rng: np.random.Generator, out: np.ndarray) -> None:
+        if last:
+            comp = np.minimum(np.searchsorted(cum, cum[-1] * rng.random(count), side="right"), last)
+            r, k = p_log_r[comp], p_deg[comp]
+        else:
+            comp, r, k = 0, p_log_r[0], p_deg[0]
+        if tail is not None:  # 1 - U is exact: U lies on the 2^-53 grid
+            r = r + np.where(comp == last, tail(1.0 - rng.random(count)), 0.0)
+        _radial(rng.random(out=out), k)
+        out += r
+
+    def draw(ids, counts, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        # the strata before the pool take one uniform each, drawn at once
+        ids, counts = np.atleast_1d(ids), np.atleast_1d(counts)
+        out = np.empty(int(counts.sum())) if out is None else out
+        inner = np.count_nonzero(ids < len(s_deg))
+        ends = np.cumsum(counts[:inner])
+        begins = ends - counts[:inner]
+        if inner:
+            u = rng.random(out=out[:ends[-1]])
+            # a ladder's levels share one degree: one pass per run of equal degrees
+            degree = s_deg[ids[:inner]]
+            runs = np.flatnonzero(np.diff(degree, prepend=np.nan))
+            for i, j in zip(runs.tolist(), np.append(runs[1:], inner).tolist()):
+                _radial(u[begins[i]:ends[j - 1]], degree[i])
+            for r, first, stop in zip(s_log_r[ids[:inner]].tolist(), begins.tolist(), ends.tolist()):
+                u[first:stop] += r
+        if inner < len(ids):
+            pool(int(counts[-1]), rng, out[ends[-1] if inner else 0:])
+        return out
+
+    above = delta is not None and holes.radii.max() > delta
+    return _Strata(volumes, counts, draw,
+                   math.log(delta) if above else math.inf if _truncated(desc) else None)
 
 
 def log_tube_volume(desc: SetDescriptor, t: float | np.ndarray,

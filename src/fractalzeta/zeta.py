@@ -601,21 +601,38 @@ def tube_zeta_residue(desc: SetDescriptor, dim: float, delta: float,
 # Monte Carlo
 
 
-def _flat_drum_log_distances(desc: SetDescriptor, count: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """log |x| for ``count`` uniform points x of the cusp, which has no holes:
-    A = {0}, so d(x, A) = |x|.  Rejection sampling from its bounding box,
-    which keeps a share |Ω|·e of its points; each try draws enough for what
-    is missing, with about four standard deviations to spare."""
-    parts, got = [], 0
-    while got < count:
-        size = (count - got + 4.0 * math.sqrt(count - got) + 16) / (flat.region_volume() * math.e)
-        cand = rng.random((int(size), 2)) * (1.0, math.exp(-1.0))
+def _flat_drum_law(desc: SetDescriptor, n: int) -> geometry._Strata:
+    """The flat drum's distance law as one stratum: log |x| for uniform points
+    x of the cusp, which has no holes, so d(x, A) = |x| for A = {0}.
+    Rejection sampling from its bounding box [0, 1] × [0, e^{-1}], which keeps
+    a share |Ω|·e of its points; each try draws enough for what is missing,
+    with about four standard deviations to spare, into buffers of a block's
+    size drawn once."""
+    keep = flat.region_volume() * math.e
+    size = int((_MC_BLOCK + 4.0 * math.sqrt(_MC_BLOCK) + 16) / keep) + 1
+    xs, ys, bound, accept = np.empty(size), np.empty(size), np.empty(size), np.empty(size, bool)
+
+    def draw(ids, counts, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        count = int(np.sum(counts))
+        out = np.empty(count) if out is None else out
+        got = 0
+        while got < count:
+            tries = min(int((count - got + 4.0 * math.sqrt(count - got) + 16) / keep), size)
+            x, y = rng.random(out=xs[:tries]), rng.random(out=ys[:tries])
+            y *= math.exp(-1.0)
+            with np.errstate(divide="ignore"):
+                np.exp(np.divide(-1.0, x, out=bound[:tries]), out=bound[:tries])
+            hits = np.less(y, bound[:tries], out=accept[:tries])
+            kept = np.count_nonzero(hits)
+            # the accepted points, packed into the bound's and then x's buffer
+            px, py = np.compress(hits, x, out=bound[:kept]), np.compress(hits, y, out=xs[:kept])
+            take = min(kept, count - got)
+            np.hypot(px[:take], py[:take], out=out[got:got + take])
+            got += take
         with np.errstate(divide="ignore"):
-            parts.append(cand[cand[:, 1] < np.exp(-1.0 / cand[:, 0])])
-        got += len(parts[-1])
-    with np.errstate(divide="ignore"):
-        return np.log(desc.scale * np.hypot(*np.concatenate(parts)[:count].T))
+            return np.log(np.multiply(out, desc.scale, out=out), out=out)
+
+    return geometry._Strata(np.array([region_volume(desc)]), np.array([n]), draw, None)
 
 
 def _variance_threshold(desc: SetDescriptor) -> float | None:
@@ -637,7 +654,7 @@ def _variance_threshold(desc: SetDescriptor) -> float | None:
     return (n + dim) / 2.0
 
 
-_MC_BLOCK = 2**16  # samples drawn and reduced at a time: memory does not grow with n
+_MC_BLOCK = 2**14  # samples drawn and reduced at a time: memory does not grow with n
 _CEXP_M = 4096  # e^{iθ} = e^{2πik/M}, from a table, times e^{ir}, |r| <= π/M
 _CEXP_HI = float(np.float32(math.tau / _CEXP_M))  # 24 bits: k·HI is exact for |k| < 2^29
 _CEXP_LO = (math.tau - _CEXP_M * _CEXP_HI + 2.4492935982947064e-16) / _CEXP_M  # + 2π − fl(2π)
@@ -646,95 +663,93 @@ _cexp_table = functools.cache(lambda: np.exp(1j * _CEXP_HI * np.arange(_CEXP_M))
                               * np.exp(1j * _CEXP_LO * np.arange(_CEXP_M)))
 
 
-def _cexp(w: complex, x: np.ndarray) -> np.ndarray:
-    """exp(w·x) for a float64 array x within a few ulp, table-driven (Tang 1989):
-    Im w·x = 2πk/M + r exactly, then e^{2πik/M} from the table and degree-4 and
-    degree-3 Taylor polynomials for cos r and sin r.  A real w takes one real
-    exp, and numpy's complex exp takes over past |Im w·x| = 2^19, where the
-    reduction would not be exact."""
+def _cexp_work(size: int) -> tuple[np.ndarray, ...]:
+    """Scratch for ``_cexp`` on ``size`` points: three float arrays, an intp and a complex one."""
+    return (np.empty(size), np.empty(size), np.empty(size), np.empty(size, np.intp),
+            np.empty(size, complex))
+
+
+def _cexp(w: complex, x: np.ndarray, out: np.ndarray | None = None,
+          work: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """exp(w·x) for a 1-d float64 array x within a few ulp, table-driven (Tang
+    1989): Im w·x = 2πk/M + r exactly, then e^{2πik/M} from the table and
+    degree-4 and degree-3 Taylor polynomials for cos r and sin r.  A real w
+    takes one real exp, and numpy's complex exp takes over past |Im w·x| =
+    2^19, where the reduction would not be exact.  Written into ``out``, a
+    complex array of x's length, with ``work`` (``_cexp_work``) as scratch;
+    either is allocated when not given."""
+    if out is None:
+        out = np.empty(x.shape, complex)
     if not w.imag:
-        return np.exp(w.real * x).astype(complex)
-    r = w.imag * x
+        np.exp(np.multiply(x, w.real, out=out.real), out=out.real)
+        out.imag = 0.0
+        return out
+    r, k, modulus, index, table = _cexp_work(len(x)) if work is None else work
+    np.multiply(x, w.imag, out=r)
     if not -2.0**19 < r.min(initial=0.0) <= r.max(initial=0.0) < 2.0**19:
-        return np.exp(w * x)
-    k = np.rint(r * (_CEXP_M / math.tau))
-    r = r - k * _CEXP_HI - k * _CEXP_LO  # the first difference is exact
-    index = k.astype(np.intp) & (_CEXP_M - 1)
-    r2, modulus = np.multiply(r, r, out=k), np.exp(w.real * x)
-    factor = np.empty(x.shape, complex)  # e^{Re w·x}·e^{ir}
-    factor.real = ((r2 * (1.0 / 24.0) - 0.5) * r2 + 1.0) * modulus
-    factor.imag = (r2 * (-1.0 / 6.0) + 1.0) * r * modulus
-    return np.take(_cexp_table(), index) * factor
+        return np.exp(np.multiply(x, w, out=out), out=out)
+    np.rint(np.multiply(r, _CEXP_M / math.tau, out=k), out=k)
+    r -= np.multiply(k, _CEXP_HI, out=modulus)  # exact
+    r -= np.multiply(k, _CEXP_LO, out=modulus)
+    np.copyto(index, k, casting="unsafe")
+    r2 = np.multiply(r, r, out=k)
+    np.exp(np.multiply(x, w.real, out=modulus), out=modulus)
+    # e^{Re w·x}·e^{ir}, its parts computed in the two halves of the table's scratch
+    re, im = table.view(float).reshape(2, -1)
+    np.multiply(r2, 1.0 / 24.0, out=re)
+    re -= 0.5
+    re *= r2
+    re += 1.0
+    re *= modulus
+    np.multiply(r2, -1.0 / 6.0, out=im)
+    im += 1.0
+    im *= r
+    im *= modulus
+    out.real, out.imag = re, im
+    out *= np.take(_cexp_table(), index, out=table, mode="wrap")  # k mod M
+    return out
 
 
-def _mc_weights(w: complex, log_d: np.ndarray, cut: float) -> np.ndarray:
-    """exp(w·log d) by ``_cexp``; 0, its ``log_d`` zeroed, where d = 0 or log d > ``cut``."""
-    drop = (log_d == -math.inf) | (log_d > cut)
-    log_d[drop] = 0.0
-    vals = _cexp(w, log_d)
-    vals[drop] = 0.0
+def _mc_weights(w: complex, log_d: np.ndarray, cut: float | None, out: np.ndarray | None = None,
+                work: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """exp(w·log d) by ``_cexp``, into ``out``; 0, its ``log_d`` zeroed, where
+    d = 0 or log d > ``cut``.  A ``cut`` of None drops nothing."""
+    if cut is not None:
+        drop = (log_d == -math.inf) | (log_d > cut)
+        log_d[drop] = 0.0
+    vals = _cexp(w, log_d, out, work)
+    if cut is not None:
+        vals[drop] = 0.0
     return vals
-
-
-def _mc_draw(desc: SetDescriptor, s: complex, delta: float | None,
-             full: bool) -> tuple[float, Callable[[int, np.random.Generator], np.ndarray]]:
-    """``(scale, draw)``: ``draw(count, rng)`` gives d(x, A)^{s-N} at ``count``
-    uniform points of Ω, or in full mode d^{s-N}·[d <= δ] at points of a box
-    around A_δ, ``scale`` being the region's volume.  ∂Ω lies in A, so a
-    point outside Ω is at its distance to Ω: the norm of its per-axis gaps to
-    a box, or its distance to a ball's surface.  ``_cexp`` gives
-    d^{s-N} within a few ulp; seeded values match numpy's exp to about 1e-15."""
-    ndim = desc.ambient_dim
-    if desc.kind == "flatDrum":
-        if full:
-            raise ValueError("the flat drum is a relative construction only")
-        law = functools.partial(_flat_drum_log_distances, desc)
-    else:
-        law = geometry._hole_law(desc)
-    scale, cut = region_volume(desc), math.inf
-    if full:
-        # Ω is the box [0, size]^N or the ball of radius size about 0
-        size, ball = desc.region
-        size *= desc.scale
-        lo, width = (-size - delta, 2.0 * (size + delta)) if ball else (-delta, size + 2.0 * delta)
-        scale, cut = width**ndim, math.log(delta)
-
-    def draw(count: int, rng: np.random.Generator) -> np.ndarray:
-        if full:
-            x = lo + width * rng.random((ndim, count))
-            gaps = x if ball else np.maximum(np.maximum(-x, x - size), 0.0)
-            gap = np.maximum(np.sqrt(np.square(gaps).sum(axis=0)) - (size if ball else 0.0), 0.0)
-            inside = np.flatnonzero(gap == 0.0)
-            del x, gaps  # before the weights' scratch arrays
-            with np.errstate(divide="ignore"):
-                log_d = np.log(gap, out=gap)
-            log_d[inside] = law(len(inside), rng)
-        else:
-            log_d = law(count, rng)
-        return _mc_weights(s - ndim, log_d, cut)
-
-    return scale, draw
 
 
 def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
                      delta: float | None = None, full: bool = False) -> ZetaEstimate:
-    """Monte Carlo estimate of the distance zeta with standard error.
+    """Stratified Monte Carlo estimate of the distance zeta with standard error.
 
-    Relative mode averages d(x,A)^{s-N} over n uniform points of Ω and scales
-    by |Ω|; full mode needs ``delta`` and averages d^{s-N}·[d <= δ] over n
-    uniform points of a box containing A_δ.  The distance of a point of Ω is
-    drawn from its exact law (a hole, then a closed-form distance inside it;
-    see ``geometry._hole_law``).  The flat drum has no holes: it samples its
-    cusp, relative mode only.  Blocks of ``_MC_BLOCK`` samples are merged into
-    the running mean and sum of squared deviations (Chan, Golub & LeVeque
-    1979).  Deterministic for a fixed seed.
-    Raises :class:`ValueError` for a non-finite s, an n not an integer >= 2 or
-    a full-mode δ not in (0, ∞), and :class:`NonconvergenceError` at Re s <=
-    (N + D)/2, where the variance is infinite and a standard error would mean
-    nothing (every kind but the flat drum, see ``_variance_threshold``).
+    Relative mode integrates d(x,A)^{s-N} over Ω; full mode needs ``delta``
+    and integrates d^{s-N} over A_δ: Ω's points within δ of A and the outer
+    collar.  The distance of a sample is drawn from its exact law, cut into
+    strata (``geometry._hole_law``): each power of the collar, each hole row
+    and each family level whose proportional share of the n samples reaches
+    a floor, and one pool of the rest.  The estimate is Σ_h V_h·mean_h over
+    the strata, of volume V_h and n_h samples each, and its standard error
+    √(Σ_h V_h²·var_h/n_h), var_h the population variance.  The flat drum has
+    no holes: it samples its cusp, relative mode only, as one stratum.  The
+    strata's samples are drawn in a fixed order, blocks of ``_MC_BLOCK`` at a
+    time in buffers reused from block to block, and each stratum's part of a
+    block is merged into its running mean and sum of squared deviations
+    (Chan, Golub & LeVeque 1979).  Deterministic for a fixed seed.
+    Raises :class:`ValueError` for a non-finite s, an n not an integer >= 2,
+    a seed not an integer >= 0 or a full-mode δ not in (0, ∞), and
+    :class:`NonconvergenceError` at Re s <= (N + D)/2, where the variance is
+    infinite and a standard error would mean nothing (every kind but the flat
+    drum, see ``_variance_threshold``).
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("need an integer number of samples, at least two")
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError("s must be finite")
@@ -744,16 +759,38 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
     if threshold is not None and s.real <= threshold:
         raise NonconvergenceError(
             f"Monte Carlo variance is infinite for Re s <= (N + D)/2 = {threshold:.6g}")
-    scale, draw = _mc_draw(desc, s, delta, full)
-    rng = np.random.default_rng(seed)
-    mean, m2 = 0j, 0.0
-    for start in range(0, n, _MC_BLOCK):  # ``start`` samples merged so far
-        vals = draw(min(_MC_BLOCK, n - start), rng)
-        block_mean = vals.mean()
-        dev, step, weight = vals - block_mean, block_mean - mean, len(vals) / (start + len(vals))
-        mean += step * weight
-        m2 += np.vdot(dev, dev).real + abs(step) ** 2 * start * weight
-    return ZetaEstimate(value=scale * mean, std_err=scale * math.sqrt(m2) / n, samples=n)
+    if desc.kind == "flatDrum":
+        if full:
+            raise ValueError("the flat drum is a relative construction only")
+        law = _flat_drum_law(desc, n)
+    else:
+        law = geometry._hole_law(desc, n, delta if full else None)
+    w, rng = s - desc.ambient_dim, np.random.default_rng(seed)
+    ends = np.cumsum(law.samples)  # stratum h takes the samples [ends[h] - samples[h], ends[h])
+    count, mean, m2 = np.zeros(len(ends)), np.zeros(len(ends), complex), np.zeros(len(ends))
+    size = min(n, _MC_BLOCK)
+    log_d, vals, work = np.empty(size), np.empty(size, complex), _cexp_work(size)
+    for start in range(0, n, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, n)
+        # the strata met in this block, and where each begins and ends in it
+        ids = np.arange(*np.searchsorted(ends, (start, stop - 1), side="right") + (0, 1))
+        begin = np.maximum(ends[ids] - law.samples[ids], start) - start
+        lens = np.minimum(ends[ids], stop) - start - begin
+        size = stop - start
+        law.draw(ids, lens, rng, log_d[:size])
+        block = _mc_weights(w, log_d[:size], law.cut, vals[:size], [a[:size] for a in work])
+        means = np.add.reduceat(block, begin) / lens
+        for mu, a, b in zip(means.tolist(), begin.tolist(), (begin + lens).tolist()):
+            block[a:b] -= mu
+        squares = np.square(block.view(float), out=block.view(float))
+        step, merged = means - mean[ids], count[ids] + lens
+        mean[ids] += step * (lens / merged)
+        m2[ids] += (np.add.reduceat(squares, 2 * begin)
+                    + (step.real**2 + step.imag**2) * count[ids] * lens / merged)
+        count[ids] = merged
+    value = complex(law.volumes @ mean)
+    std_err = math.sqrt(float((law.volumes**2 * m2 / count**2).sum()))
+    return ZetaEstimate(value=value, std_err=std_err, samples=n)
 
 
 def scaling_check(desc: SetDescriptor, lam: float, s: complex,

@@ -171,6 +171,13 @@ def test_zeta_mc_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_zeta_mc_negative_seed_exits_2(capsys):
+    assert run(["zeta", "--set", "carpet2", "--re", "1.97", "--method", "mc",
+                "--n", "1000", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be a non-negative integer, not -1" in err
+
+
 def test_zeta_quad_at_the_dimension_exits_2(capsys):
     assert run(["zeta", "--set", "cantor", "--re", "0.6309297535714584",
                 "--method", "quad", "--delta", "0.1"]) == 2

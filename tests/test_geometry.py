@@ -198,6 +198,38 @@ def test_nest_tube_agrees_with_disk_sampling():
         assert abs(frac - p) < 4.0 * sigma
 
 
+_COLLAR_SETS = {
+    "box 1": lambda: geometry.box_boundary(1),
+    "box 2": lambda: geometry.box_boundary(2),
+    "box 3": lambda: geometry.box_boundary(3),
+    "carpet2 x1.7": lambda: geometry.scaled(geometry.carpet(2), 1.7),
+    "nest disk": lambda: geometry.fractal_nest(0.5, 30),
+}
+
+
+@pytest.mark.parametrize("name", list(_COLLAR_SETS))
+def test_collar_coeffs_match_point_sampling(name):
+    # the outer collar |A_t \ Ω| = Σ_j c_j t^j, checked without reading the
+    # coefficients' construction: uniform points of the box [-δ, L + δ]^N
+    # around Ω, at the norm of their per-axis gaps to the box [0, L]^N, or at
+    # their radial gap to the disk of radius L
+    desc = _COLLAR_SETS[name]()
+    size, ball = desc.region
+    size *= desc.scale
+    n_dim, delta, n = desc.ambient_dim, 0.45, 200_000
+    lo, hi = (-size - delta, size + delta) if ball else (-delta, size + delta)
+    pts = lo + (hi - lo) * np.random.default_rng(17).random((n, n_dim))
+    if ball:
+        d = np.maximum(np.linalg.norm(pts, axis=1) - size, 0.0)
+    else:
+        d = np.linalg.norm(np.maximum(np.maximum(-pts, pts - size), 0.0), axis=1)
+    coeffs = geometry._collar_coeffs(desc)
+    for t in (0.05, 0.2, 0.45):
+        p = sum(c * t**j for j, c in enumerate(coeffs, 1)) / (hi - lo) ** n_dim
+        frac = np.count_nonzero((d > 0.0) & (d <= t)) / n
+        assert abs(frac - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n), (t, frac, p)
+
+
 # --- strings -------------------------------------------------------------------
 
 

@@ -318,10 +318,15 @@ _HOLE_LAW_SETS = {
 
 @pytest.mark.parametrize("name", list(_HOLE_LAW_SETS))
 def test_ladder_hole_law_matches_tube_volume(name):
-    # P(d(x, A) <= t) for uniform x in Ω is |A_t ∩ Ω| / |Ω|
+    # P(d(x, A) <= t) for uniform x in Ω is |A_t ∩ Ω| / |Ω|.  Unstratified,
+    # every draw is pooled; cut into strata, Σ_h V_h·P_h(d <= t) is the tube
+    # volume, each P_h estimated from its own n_h draws, in full mode too,
+    # where the strata also cover the collar and whole holes wider than δ
     desc = _HOLE_LAW_SETS[name]()
     n = 200_000
-    log_d = geometry._hole_law(desc)(n, np.random.default_rng(3))
+    pooled = geometry._hole_law(desc)
+    assert len(pooled.samples) == 1
+    log_d = pooled.draw(0, n, np.random.default_rng(3))
     assert log_d.shape == (n,) and np.all(np.isfinite(log_d))
     ts = [0.1, 0.02, 1e-6]
     if name == "carpet2":
@@ -330,6 +335,20 @@ def test_ladder_hole_law_matches_tube_volume(name):
         p = geometry.tube_volume(desc, t) / geometry.region_volume(desc)
         hits = np.count_nonzero(log_d <= math.log(t)) / n
         assert abs(hits - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12, (t, hits, p)
+    for delta in (None, 0.45 * desc.scale):
+        law = geometry._hole_law(desc, n, delta)
+        assert law.samples.sum() == n and law.samples.min() >= 2
+        draws = law.draw(np.arange(len(law.samples)), law.samples, np.random.default_rng(4))
+        parts = np.split(draws, np.cumsum(law.samples)[:-1])
+        assert [len(part) for part in parts] == law.samples.tolist()
+        total = law.volumes.sum()
+        for t in [*ts, 0.44 * desc.scale] if delta else ts:
+            ref = geometry.tube_volume(desc, t, full=delta is not None) / total
+            shares = np.array([np.count_nonzero(part <= math.log(t)) / len(part) for part in parts])
+            got = law.volumes / total @ shares
+            # proportional strata have at most the unstratified variance
+            bound = 4.0 * math.sqrt(ref * (1.0 - ref) / n) + 1e-12
+            assert abs(got - ref) <= bound, (delta, t, got, ref)
 
 
 @pytest.mark.parametrize("name, s", [
@@ -387,21 +406,42 @@ def test_distance_zeta_mc_full_box_boundary_matches_closed(n, s):
     assert abs(est.value - ref) < 4.0 * est.std_err
 
 
-@pytest.mark.parametrize("n", [2, 3, 2**16, 2**16 + 3, 3 * 2**16 - 1])
+def _spy_weights(monkeypatch):
+    """Record a copy of every block's ``log_d`` and weights: both are buffers
+    that the next block overwrites."""
+    seen, weights = [], zeta._mc_weights
+
+    def spy(w, log_d, cut, out=None, work=None):
+        before = log_d.copy()
+        vals = weights(w, log_d, cut, out, work)
+        seen.append((w, before, cut, vals.copy()))
+        return vals
+
+    monkeypatch.setattr(zeta, "_mc_weights", spy)
+    return seen
+
+
+_B = zeta._MC_BLOCK
+
+
+@pytest.mark.parametrize("n", [2, 3, _B, _B + 3, 3 * _B - 1, 2**16, 2**16 + 3, 3 * 2**16 - 1])
 @pytest.mark.parametrize("full", [False, True])
-def test_distance_zeta_mc_block_merge_matches_one_pass(n, full):
-    # the running (mean, M2) merged block by block equals the mean and
-    # population variance of the concatenated draws of the same seed
+def test_distance_zeta_mc_block_merge_matches_one_pass(n, full, monkeypatch):
+    # the running (mean, M2) of each stratum, merged block by block, equals
+    # the mean and population variance of that stratum's concatenated draws
     desc, s, seed = geometry.carpet(2), 1.97 + 0.5j, 7
     delta = 0.45 if full else None
-    scale, draw = zeta._mc_draw(desc, s, delta, full)
-    rng = np.random.default_rng(seed)
-    vals = np.concatenate([draw(min(zeta._MC_BLOCK, n - start), rng)
-                           for start in range(0, n, zeta._MC_BLOCK)])
-    assert len(vals) == n
+    seen = _spy_weights(monkeypatch)
     est = distance_zeta_mc(desc, s, n=n, seed=seed, delta=delta, full=full)
-    assert est.value == pytest.approx(scale * np.mean(vals), rel=1e-12)
-    assert est.std_err == pytest.approx(scale * math.sqrt(np.var(vals) / n), rel=1e-12)
+    assert len(seen) == -(-n // _B)
+    law = geometry._hole_law(desc, n, delta)
+    parts = np.split(np.concatenate([vals for *_, vals in seen]), np.cumsum(law.samples)[:-1])
+    assert [len(part) for part in parts] == law.samples.tolist()
+    means = np.array([np.mean(part) for part in parts])
+    variances = np.array([np.var(part) for part in parts])
+    assert est.value == pytest.approx(law.volumes @ means, rel=1e-12)
+    assert est.std_err == pytest.approx(math.sqrt(law.volumes**2 @ (variances / law.samples)),
+                                        rel=1e-12)
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -428,6 +468,63 @@ def test_distance_zeta_mc_flat_drum_matches_functional_equation(s):
            + (2 - s) * tube_zeta_quad(desc, s, delta).value)
     est = distance_zeta_mc(desc, s, n=200_000, seed=13)
     assert abs(est.value - ref) < 4.0 * est.std_err
+
+
+@pytest.mark.parametrize("name", ["cantor", "carpet2", "carpet3"])
+@pytest.mark.parametrize("full", [False, True])
+def test_distance_zeta_mc_std_err_is_honest(name, full):
+    # at a real s = N - (N - D)/8 the weight has a finite fourth moment and
+    # the estimate is real: over 200 seeds, |value - closed| <= 2·std_err
+    # should hold with probability 95.45 %, give or take 3 binomial sigmas
+    desc = _HOLE_LAW_SETS[name]()
+    n_dim, dim = desc.ambient_dim, desc.similarity_dim
+    s = n_dim - (n_dim - dim) / 8.0
+    delta = 0.45 if full else None
+    ref = distance_zeta_closed(desc, s, delta=delta, full=full)
+    seeds, p = 200, math.erf(2.0 / math.sqrt(2.0))
+    covered = 0
+    for seed in range(seeds):
+        est = distance_zeta_mc(desc, s, n=10_000, seed=seed, delta=delta, full=full)
+        covered += abs(est.value - ref) <= 2.0 * est.std_err
+    assert abs(covered - seeds * p) <= 3.0 * math.sqrt(seeds * p * (1.0 - p)), covered
+    for n in (2, 3, 65):  # too few for a stratum of its own: every sample pooled
+        law = geometry._hole_law(desc, n, delta)
+        assert law.samples.tolist() == [n]
+        est = distance_zeta_mc(desc, s, n=n, seed=1, delta=delta, full=full)
+        assert math.isfinite(abs(est.value)) and math.isfinite(est.std_err)
+
+
+def test_distance_zeta_mc_results_do_not_share_buffers():
+    # samples go through buffers reused from block to block, and from call to
+    # call nothing is kept: a result, or a draw, kept from one call is not
+    # changed by the next
+    desc, s = geometry.carpet(2), 1.97 + 0.5j
+    first = distance_zeta_mc(desc, s, n=40_000, seed=1, delta=0.1, full=True)
+    kept = (first.value, first.std_err)
+    second = distance_zeta_mc(desc, s, n=40_000, seed=2, delta=0.1, full=True)
+    assert (first.value, first.std_err) == kept != (second.value, second.std_err)
+    law = geometry._hole_law(desc, 40_000)
+    rng = np.random.default_rng(3)
+    draw = law.draw(0, 1000, rng)
+    copy = draw.copy()
+    again = law.draw(0, 1000, rng)
+    assert np.array_equal(draw, copy) and not np.array_equal(draw, again)
+    assert not np.shares_memory(draw, again)
+
+
+@pytest.mark.parametrize("seed", [None, True, False, 1.5, "7", -1, np.int64(-3)])
+def test_distance_zeta_mc_refuses_bad_seeds(seed):
+    # None drew the operating system's entropy, True ran as seed 1, and the
+    # rest raised numpy's errors, which do not name the seed
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        distance_zeta_mc(geometry.carpet(2), 1.97, n=100, seed=seed)
+
+
+def test_distance_zeta_mc_accepts_numpy_integer_seeds():
+    desc = geometry.carpet(2)
+    a = distance_zeta_mc(desc, 1.97, n=1000, seed=np.uint32(5))
+    b = distance_zeta_mc(desc, 1.97, n=1000, seed=5)
+    assert a.value == b.value and a.std_err == b.std_err
 
 
 def test_distance_zeta_mc_validation():
@@ -513,11 +610,15 @@ def test_cexp_fallback_bound(im, above):
     assert _rel_err(got, _cexp_mp(w, x)) <= 1e-15
 
 
-def _numpy_weights(w, log_d, cut):
+def _numpy_weights(w, log_d, cut, out=None, work=None):
     """The Monte Carlo weight as numpy's complex exp gives it: the reference
     for ``zeta._mc_weights``."""
-    keep = (log_d > -math.inf) & (log_d <= cut)
-    return np.exp(w * np.where(keep, log_d, 0.0)) * keep
+    keep = (log_d > -math.inf) & (log_d <= (math.inf if cut is None else cut))
+    vals = np.exp(w * np.where(keep, log_d, 0.0)) * keep
+    if out is None:
+        return vals
+    out[...] = vals
+    return out
 
 
 def test_mc_weights_drop_exactly_what_they_cut():
@@ -561,23 +662,18 @@ def test_distance_zeta_mc_matches_numpy_weights(name, full, lam, monkeypatch):
 
 
 @pytest.mark.parametrize("make, s, full", [
+    # full mode at δ = 0.1: the first level's holes (inradius 1/6) and the
+    # nest's widest annulus and centre disk reach past δ
     (lambda: geometry.carpet(2), 1.97 - 0.5j, True),
     (lambda: geometry.fractal_nest(0.5, 40), 1.7 + 0.5j, True),
     # a gap index past the float range is a point of A, at d = 0
     (lambda: geometry.a_string_set(0.01), 1.0 + 0.5j, False),
 ])
 def test_distance_zeta_mc_dropped_samples_weigh_zero(make, s, full, monkeypatch):
-    seen, weights = [], zeta._mc_weights
-
-    def spy(w, log_d, cut):
-        before = log_d.copy()
-        vals = weights(w, log_d, cut)
-        seen.append((w, before, cut, vals))
-        return vals
-
-    monkeypatch.setattr(zeta, "_mc_weights", spy)
-    distance_zeta_mc(make(), s, n=2 * 2**16 + 11, seed=4, delta=0.45 if full else None, full=full)
-    assert len(seen) == 3
+    seen = _spy_weights(monkeypatch)
+    n = 2 * 2**16 + 11
+    distance_zeta_mc(make(), s, n=n, seed=4, delta=0.1 if full else None, full=full)
+    assert len(seen) == -(-n // zeta._MC_BLOCK)
     dropped = 0
     for w, log_d, cut, vals in seen:
         keep = (log_d > -math.inf) & (log_d <= cut)
@@ -585,6 +681,8 @@ def test_distance_zeta_mc_dropped_samples_weigh_zero(make, s, full, monkeypatch)
         assert _rel_err(vals[keep], np.exp(w * log_d[keep])) <= 1e-15
         dropped += np.count_nonzero(~keep)
     assert dropped > 0
+    # no hole reaches past δ = 0.45 (the nest's widest is 0.158): nothing to drop
+    assert geometry._hole_law(make(), n, 0.45 if full else None).cut == (None if full else math.inf)
 
 
 # --- homothety invariance --------------------------------------------------------
