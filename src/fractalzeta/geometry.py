@@ -593,7 +593,7 @@ def _radial(u: np.ndarray, degree) -> np.ndarray:
     return u
 
 
-def _hole_law(desc: SetDescriptor, samples: int = 0, delta: float | None = None) -> _Strata:
+def _hole_law(desc: SetDescriptor, samples: int, delta: float | None) -> _Strata:
     """The law of log d(x, A) for x uniform in Ω, or with ``delta`` in A_δ,
     cut into strata for ``samples`` Monte Carlo samples.
 
@@ -622,19 +622,22 @@ def _hole_law(desc: SetDescriptor, samples: int = 0, delta: float | None = None)
     coll = np.array([] if delta is None else _collar_coeffs(desc))
     powers = np.arange(1.0, len(coll) + 1.0)
     coll *= (delta or 1.0) ** powers  # the volume c_j·δ^j of each power
-    total = region_volume(desc) + coll.sum()
     holes = _hole_table(desc, math.inf)
+    saturated = _saturated_volumes(holes, n)
+    # |Ω| (see ``region_volume``), and the collar
+    total = (lam if _truncated(desc) else float(saturated.sum())) + coll.sum()
     if unit.ratios is not None:
         # the family levels j whose share samples·w₀p^j/V reaches the floor
         # become rows: those above δ_s, half a level past the last of them
         m, a = unit.ratios
         log_p, log_a = math.log(m * a**n), math.log(a)
-        share = samples * _saturated_volumes(holes, n)[-1] * -math.expm1(log_p) / total
+        share = samples * saturated[-1] * -math.expm1(log_p) / total
         if share >= _STRATUM_FLOOR:  # level 0's
             levels = math.floor(math.log(_STRATUM_FLOOR / share) / log_p) + 1
             holes = _hole_table(desc, lam * unit.radii[-1] * a ** (levels - 0.5))
+            saturated = _saturated_volumes(holes, n)
     rows = len(holes.radii) - (unit.ratios is not None)  # the family head pools the rest
-    vols = np.concatenate((coll, _saturated_volumes(holes, n)))
+    vols = np.concatenate((coll, saturated))
     log_r = np.concatenate((np.full(len(coll), math.log(delta or 1.0)), np.log(holes.radii)))
     degrees = np.concatenate((-powers, _degrees(holes.coeffs)))
     strat = np.zeros(len(vols), bool)

@@ -601,36 +601,32 @@ def tube_zeta_residue(desc: SetDescriptor, dim: float, delta: float,
 # Monte Carlo
 
 
-def _flat_drum_law(desc: SetDescriptor, n: int) -> geometry._Strata:
-    """The flat drum's distance law as one stratum: log |x| for uniform points
-    x of the cusp, which has no holes, so d(x, A) = |x| for A = {0}.
-    Rejection sampling from its bounding box [0, 1] × [0, e^{-1}], which keeps
-    a share |Ω|·e of its points; each try draws enough for what is missing,
-    with about four standard deviations to spare, into buffers of a block's
-    size drawn once."""
-    keep = flat.region_volume() * math.e
-    size = int((_MC_BLOCK + 4.0 * math.sqrt(_MC_BLOCK) + 16) / keep) + 1
-    xs, ys, bound, accept = np.empty(size), np.empty(size), np.empty(size), np.empty(size, bool)
-
-    def draw(ids, counts, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-        count = int(np.sum(counts))
-        out = np.empty(count) if out is None else out
-        got = 0
-        while got < count:
-            tries = min(int((count - got + 4.0 * math.sqrt(count - got) + 16) / keep), size)
-            x, y = rng.random(out=xs[:tries]), rng.random(out=ys[:tries])
-            y *= math.exp(-1.0)
-            with np.errstate(divide="ignore"):
-                np.exp(np.divide(-1.0, x, out=bound[:tries]), out=bound[:tries])
-            hits = np.less(y, bound[:tries], out=accept[:tries])
-            kept = np.count_nonzero(hits)
-            # the accepted points, packed into the bound's and then x's buffer
-            px, py = np.compress(hits, x, out=bound[:kept]), np.compress(hits, y, out=xs[:kept])
-            take = min(kept, count - got)
-            np.hypot(px[:take], py[:take], out=out[got:got + take])
-            got += take
+def _flat_drum_log_distances(desc: SetDescriptor, count: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """log |x| for ``count`` uniform points x of the cusp, which has no holes:
+    A = {0}, so d(x, A) = |x|.  Rejection sampling from its bounding box,
+    which keeps a share |Ω|·e of its points; each try draws enough for what
+    is missing, with about four standard deviations to spare."""
+    parts, got = [], 0
+    while got < count:
+        size = (count - got + 4.0 * math.sqrt(count - got) + 16) / (flat.region_volume() * math.e)
+        cand = rng.random((int(size), 2)) * (1.0, math.exp(-1.0))
         with np.errstate(divide="ignore"):
-            return np.log(np.multiply(out, desc.scale, out=out), out=out)
+            parts.append(cand[cand[:, 1] < np.exp(-1.0 / cand[:, 0])])
+        got += len(parts[-1])
+    with np.errstate(divide="ignore"):
+        return np.log(desc.scale * np.hypot(*np.concatenate(parts)[:count].T))
+
+
+def _flat_drum_law(desc: SetDescriptor, n: int) -> geometry._Strata:
+    """The flat drum's distance law as one stratum of n samples, drawn by
+    ``_flat_drum_log_distances``."""
+    def draw(ids, counts, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        log_d = _flat_drum_log_distances(desc, int(np.sum(counts)), rng)
+        if out is None:
+            return log_d
+        out[:] = log_d
+        return out
 
     return geometry._Strata(np.array([region_volume(desc)]), np.array([n]), draw, None)
 

@@ -324,7 +324,7 @@ def test_ladder_hole_law_matches_tube_volume(name):
     # where the strata also cover the collar and whole holes wider than δ
     desc = _HOLE_LAW_SETS[name]()
     n = 200_000
-    pooled = geometry._hole_law(desc)
+    pooled = geometry._hole_law(desc, 0, None)
     assert len(pooled.samples) == 1
     log_d = pooled.draw(0, n, np.random.default_rng(3))
     assert log_d.shape == (n,) and np.all(np.isfinite(log_d))
@@ -503,7 +503,7 @@ def test_distance_zeta_mc_results_do_not_share_buffers():
     kept = (first.value, first.std_err)
     second = distance_zeta_mc(desc, s, n=40_000, seed=2, delta=0.1, full=True)
     assert (first.value, first.std_err) == kept != (second.value, second.std_err)
-    law = geometry._hole_law(desc, 40_000)
+    law = geometry._hole_law(desc, 40_000, None)
     rng = np.random.default_rng(3)
     draw = law.draw(0, 1000, rng)
     copy = draw.copy()
