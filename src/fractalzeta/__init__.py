@@ -18,7 +18,6 @@ from .dims import (
 )
 from .geometry import (
     FractalString,
-    GapLadder,
     SetDescriptor,
     a_string,
     a_string_set,
@@ -98,7 +97,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContentEnvelope", "DimFit", "box_dim_fit", "content_envelope",
     "log_grid", "relative_box_dim_fit", "relative_content_envelope",
-    "FractalString", "GapLadder", "SetDescriptor", "a_string", "a_string_set",
+    "FractalString", "SetDescriptor", "a_string", "a_string_set",
     "box_boundary", "cantor_set", "carpet", "distance", "distance_many",
     "flat_drum", "fractal_nest", "full_tube_volume", "log_tube_volume",
     "region_volume", "saturation_threshold", "scaled", "string_set",

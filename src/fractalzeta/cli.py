@@ -219,14 +219,14 @@ def _cmd_tubeformula(args: argparse.Namespace) -> int:
         source = f"spray:{args.generator}"
     else:
         desc = _build_set(args)
-        period = desc.ladder.oscillation_period if desc.ladder is not None else None
+        ratios = desc.holes.ratios if desc.holes is not None else None
         # N - 0.01 keeps every catalog pole (carpet3 lattice sits at 2.9656)
         # while excluding the degenerate point s = N
         if args.window:
             w = _parse_window(args.window)
-        elif period is not None:
+        elif ratios is not None:  # a ladder's poles repeat with period 2π/log q, q = 1/a
             w = Window(-0.5, desc.ambient_dim - 0.01,
-                       (args.kmax + 0.5) * 2.0 * math.pi / period)
+                       (args.kmax + 0.5) * 2.0 * math.pi / math.log(1.0 / ratios[1]))
         else:
             w = Window(-0.5, desc.ambient_dim - 0.01, 60.0)
         rep = tubeformula.truncated_tube(desc, args.t, w, full=args.full, delta=args.delta)

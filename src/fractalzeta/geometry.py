@@ -25,7 +25,6 @@ from . import flat
 
 __all__ = [
     "FractalString",
-    "GapLadder",
     "SetDescriptor",
     "cantor_set",
     "carpet",
@@ -92,52 +91,6 @@ class FractalString:
         return complex(vals.sum())
 
 
-@dataclass(frozen=True)
-class GapLadder:
-    """Geometric ladder of deleted holes: level k holds ``count_k`` congruent
-    holes of diameter ``gap_k`` (intervals, squares, or cubes).
-
-    count_k = first_count * count_ratio**(k-1),
-    gap_k   = first_gap   * gap_ratio**(k-1),       k = 1, 2, ...
-    """
-
-    first_count: int
-    count_ratio: int
-    first_gap: float
-    gap_ratio: float
-    hole_dim: int
-
-    def __post_init__(self) -> None:
-        if not (self.first_count >= 1 and self.count_ratio >= 2):
-            raise ValueError("a ladder needs first_count >= 1 and count_ratio >= 2")
-        if not (0 < self.gap_ratio < 1 and self.first_gap > 0):
-            raise ValueError("a ladder needs 0 < gap_ratio < 1 and first_gap > 0")
-        # total deleted volume must converge
-        if not self.volume_ratio < 1:
-            raise ValueError("the holes' total volume diverges (count_ratio·gap_ratio^N >= 1)")
-
-    @property
-    def volume_ratio(self) -> float:
-        """Level-to-level ratio of deleted volume, count_ratio·gap_ratio^N."""
-        return self.count_ratio * self.gap_ratio**self.hole_dim
-
-    @property
-    def total_volume(self) -> float:
-        """Σ_k count_k · gap_k^hole_dim (volume of all holes)."""
-        first = self.first_count * self.first_gap**self.hole_dim
-        return first / (1.0 - self.volume_ratio)
-
-    @property
-    def similarity_dim(self) -> float:
-        """log(count_ratio) / log(1/gap_ratio)."""
-        return math.log(self.count_ratio) / math.log(1.0 / self.gap_ratio)
-
-    @property
-    def oscillation_period(self) -> float:
-        """Multiplicative period log(1/gap_ratio) of the ladder."""
-        return math.log(1.0 / self.gap_ratio)
-
-
 class _Holes(NamedTuple):
     """The tube of a drum as a sum over the holes of Ω \\ A.
 
@@ -145,7 +98,10 @@ class _Holes(NamedTuple):
     outer collar), each covering h_i(t) = Σ_m coeffs[i, m-1] t^m within t of
     its boundary for t <= radii[i], and h_i(radii[i]) beyond.  With
     ``ratios = (m, a)`` the last row heads a geometric family: its level
-    j >= 0 holds counts[-1]·m^j holes of inradius radii[-1]·a^j.  The tube
+    j >= 0 holds counts[-1]·m^j holes of inradius radii[-1]·a^j.  A ladder
+    (``cantor_set``, ``carpet``) is that head alone, and its table is the
+    only statement of its family: the abscissa scan, the integrability
+    probe and the CLI's pole window read (m, a) here.  The tube
     volume is Σ_i counts[i]·h_i(min(t, radii[i])) over all rows and levels;
     its kinks are the finite radii, and once they are all passed it is |Ω|.
 
@@ -183,13 +139,18 @@ class SetDescriptor:
           the infinite a-string are treated apart downstream.
     ambient_dim: dimension N of the ambient space.
     scale: homothety factor applied to the unit construction (A -> λA, Ω -> λΩ).
+    m, a, J, K, string: the constructor's arguments, kept for equality, for
+          the infinite a-string's closed-form tail and for the distance
+          oracles, which recompute from them what they need (the ternary
+          set's gap h = (1 - ma)/(m - 1)) rather than read the table.
 
     Each constructor builds, once and at unit scale, what every routine
     downstream reads: ``holes``, the hole table at δ = ∞ with shapes in
     place of coefficients (``_Holes``); ``region``, Ω as a box or a ball
     (``_Region``); ``oracle(desc, u)``, d(u, A) at unit scale; and ``dim``,
-    the similarity dimension.  Each is None where the drum has none (the flat
-    drum has no holes and its cusp is no box); none takes part in eq or hash.
+    the similarity dimension (``similarity_dim``).  Each is None where the
+    drum has none (the flat drum has no holes and its cusp is no box); none
+    takes part in eq or hash.
     """
 
     kind: str
@@ -199,7 +160,6 @@ class SetDescriptor:
     a: float | None = None
     J: int | None = None
     K: int | None = None
-    ladder: GapLadder | None = None
     string: FractalString | None = None
     holes: _Holes | None = field(default=None, compare=False, repr=False)
     region: _Region | None = field(default=None, compare=False)
@@ -209,13 +169,6 @@ class SetDescriptor:
     def __post_init__(self) -> None:
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, not {self.scale}")
-
-    @property
-    def gap_width(self) -> float:
-        """First-level gap h of a ternary-type set (unit scale)."""
-        if self.kind != "cantor":
-            raise AttributeError("gap_width is only defined for cantor descriptors")
-        return (1.0 - self.m * self.a) / (self.m - 1)
 
     @property
     def similarity_dim(self) -> float:
@@ -238,13 +191,14 @@ def _check_exponent(a: float) -> None:
         raise ValueError(f"exponent must be positive and finite, not {a!r}")
 
 
-def _ladder_set(kind: str, ambient_dim: int, ladder: GapLadder, oracle, **params) -> SetDescriptor:
-    """A ladder drum in the unit box: its first level heads the family of all others."""
-    g = ladder.first_gap
-    head = _Holes(np.array([float(ladder.first_count)]), np.array([g / 2.0]),
-                  _cube_shape(ambient_dim), (ladder.count_ratio, ladder.gap_ratio))
-    return SetDescriptor(kind=kind, ambient_dim=ambient_dim, ladder=ladder, holes=head,
-                         region=_Region(1.0), oracle=oracle, dim=ladder.similarity_dim, **params)
+def _ladder_set(kind: str, ambient_dim: int, count: int, gap: float, ratios: tuple[int, float],
+                oracle, **params) -> SetDescriptor:
+    """A ladder drum in the unit box: ``count`` cube holes of side ``gap`` head
+    the family of ratios (m, a), level j holding count·m^j holes of side gap·a^j."""
+    m, a = ratios
+    head = _Holes(np.array([float(count)]), np.array([gap / 2.0]), _cube_shape(ambient_dim), ratios)
+    return SetDescriptor(kind=kind, ambient_dim=ambient_dim, holes=head, region=_Region(1.0),
+                         oracle=oracle, dim=math.log(m) / math.log(1.0 / a), **params)
 
 
 def cantor_set(m: int, a: float) -> SetDescriptor:
@@ -257,8 +211,7 @@ def cantor_set(m: int, a: float) -> SetDescriptor:
     if not 0 < a < 1.0 / m:
         raise ValueError("block ratio must satisfy 0 < a < 1/m")
     h = (1.0 - m * a) / (m - 1)
-    ladder = GapLadder(first_count=m - 1, count_ratio=m, first_gap=h, gap_ratio=a, hole_dim=1)
-    return _ladder_set("cantor", 1, ladder, _cantor_distance_unit, m=m, a=a)
+    return _ladder_set("cantor", 1, m - 1, h, (m, a), _cantor_distance_unit, m=m, a=a)
 
 
 def carpet(ambient_dim: int) -> SetDescriptor:
@@ -269,9 +222,7 @@ def carpet(ambient_dim: int) -> SetDescriptor:
     if not (isinstance(ambient_dim, Integral) and ambient_dim in (2, 3)):
         raise ValueError("carpet is implemented for ambient dimension 2 and 3")
     keep = 3**ambient_dim - 1
-    ladder = GapLadder(first_count=1, count_ratio=keep, first_gap=1.0 / 3.0,
-                       gap_ratio=1.0 / 3.0, hole_dim=ambient_dim)
-    return _ladder_set("carpet", ambient_dim, ladder, _carpet_distance_unit)
+    return _ladder_set("carpet", ambient_dim, 1, 1.0 / 3.0, (keep, 1.0 / 3.0), _carpet_distance_unit)
 
 
 def _a_string_length(j: np.ndarray | float, a: float):
@@ -757,8 +708,10 @@ def tube_breakpoints(desc: SetDescriptor, tmin: float, tmax: float) -> np.ndarra
 
 
 def _cantor_distance_unit(desc: SetDescriptor, x: np.ndarray) -> np.ndarray:
+    # the gap h = (1 - ma)/(m - 1) from the constructor's arguments, not the
+    # hole table: the oracle is the one check of the table that does not read it
     m, a = desc.m, desc.a
-    h = desc.gap_width
+    h = (1.0 - m * a) / (m - 1)
     span = a + h
     d = np.zeros_like(x)
     below = x < 0

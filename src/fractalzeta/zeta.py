@@ -637,17 +637,15 @@ def _variance_threshold(desc: SetDescriptor) -> float | None:
     E|d^{s-N}|² is the distance zeta at 2 Re s - N, finite only above the
     dimension D: log m / log(1/a) for a hole table that ends in a geometric
     family of ratios (m, a), 1/(1 + a) for the infinite a-string, and N - 1
-    for every other (finite) table.  The flat drum has no holes and no
+    for every other (finite) table; the first two are ``similarity_dim``.
+    The flat drum has no holes and no
     threshold: its tube is flat, so every moment of d^{s-N} is finite.
     """
     n = desc.ambient_dim
     if desc.kind == "flatDrum":
         return None
-    if geometry._truncated(desc):
-        return (n + desc.similarity_dim) / 2.0
-    ratios = desc.holes.ratios
-    dim = n - 1.0 if ratios is None else math.log(ratios[0]) / math.log(1.0 / ratios[1])
-    return (n + dim) / 2.0
+    finite = desc.holes.ratios is None and not geometry._truncated(desc)
+    return (n + (n - 1.0 if finite else desc.similarity_dim)) / 2.0
 
 
 _MC_BLOCK = 2**14  # samples drawn and reduced at a time: memory does not grow with n
@@ -858,33 +856,29 @@ def abscissa_scan(evaluator: Callable[[float], np.ndarray], lo: float, hi: float
     return 0.5 * (lo + hi)
 
 
-def _hole_integral_coeff(n: int, sigma: float) -> float:
-    """∫ over an N-cube hole of side g of d(x, ∂hole)^{sigma-N}, divided by g^sigma.
+def _ladder_log_blocks(desc: SetDescriptor, levels: int) -> Callable[[float], np.ndarray]:
+    """σ ↦ log ∫ d(x, A)^{σ-N} over the holes of each of the first ``levels``
+    levels of a ladder's family, count·m^k·I(σ)·(λg·a^k)^σ, in log space: the
+    counts alone overflow past level ~300.
 
-    Finite iff sigma > N-1, where it is the cube's row term of side 1 at sigma.
+    The family is read off the hole table's head row once per call: its
+    count, width g = 2ρ, shape and ratios (m, a).  I(σ), the integral over
+    one hole of width 1, is the head's row term (``_row_term``), +inf where
+    it diverges (σ <= N - 1).
     """
-    if sigma <= n - 1:
-        return math.inf
-    return float(_row_term(n, n, (-(-2) ** n,), (1,)).value(sigma).real)
+    n, holes = desc.ambient_dim, desc.holes
+    (m, a), k = holes.ratios, int(geometry._degrees(holes.coeffs[-1:])[0])
+    # at width 1, inradius 1/2, the coefficient of t^k is the shape's times (1/2)^{N-k}
+    unit = _row_term(n, k, holes.coeffs[-1:, k - 1] * 0.5 ** (n - k), (1.0,))
+    log_m, log_a, count = math.log(m), math.log(a), float(holes.counts[-1])
+    log_width = math.log(desc.scale * (2.0 * holes.radii[-1]))
+    ks = np.arange(levels, dtype=float)
 
+    def log_blocks(sigma: float) -> np.ndarray:
+        coeff = math.inf if sigma <= n - 1 else float(unit.value(sigma).real)
+        return ks * (log_m + sigma * log_a) + sigma * log_width + math.log(count * coeff)
 
-def _ladder_log_blocks(desc: SetDescriptor, sigma: float, levels: int) -> np.ndarray:
-    """log ∫ d(x, A)^{sigma-N} over the holes of each of the first ``levels``
-    ladder levels, count_k·C_N(sigma)·(λg_k)^sigma, in log space: the counts
-    alone overflow past level ~300.  +inf where the hole integral diverges.
-    """
-    lad = desc.ladder
-    coeff = _hole_integral_coeff(desc.ambient_dim, sigma)
-    k = np.arange(levels, dtype=float)
-    return (k * (math.log(lad.count_ratio) + sigma * math.log(lad.gap_ratio))
-            + sigma * math.log(desc.scale * lad.first_gap) + math.log(lad.first_count * coeff))
-
-
-def _ladder_blocks(desc: SetDescriptor, levels: int = 48):
-    def evaluator(sigma: float) -> np.ndarray:
-        return np.cumsum(np.exp(_ladder_log_blocks(desc, sigma, levels)))
-
-    return evaluator
+    return log_blocks
 
 
 def _string_blocks(desc: SetDescriptor, imax: int = 21):
@@ -909,10 +903,14 @@ def _string_blocks(desc: SetDescriptor, imax: int = 21):
 def abscissa_of(desc: SetDescriptor, xtol: float = 5e-5) -> float:
     """Abscissa of convergence of the relative distance zeta of a catalog set."""
     n = desc.ambient_dim
-    if desc.ladder is not None:
-        return abscissa_scan(_ladder_blocks(desc), lo=n - 1 + 1e-3, hi=float(n), xtol=xtol)
-    if desc.kind == "aString":
+    if geometry._truncated(desc):
         return abscissa_scan(_string_blocks(desc), lo=0.02, hi=1.0, xtol=xtol)
+    if desc.holes is not None and desc.holes.ratios is not None:
+        log_blocks = _ladder_log_blocks(desc, 48)
+        return abscissa_scan(lambda sigma: np.cumsum(np.exp(log_blocks(sigma))),
+                             lo=n - 1 + 1e-3, hi=float(n), xtol=xtol)
+    # a finite table's zeta converges for every Re s > N - 1, and the flat
+    # drum's everywhere: there is nothing to scan
     raise ValueError(f"no convergence scan for kind {desc.kind!r}")
 
 
@@ -930,18 +928,19 @@ def hp_integrability_probe(desc: SetDescriptor, gamma: float,
     """Does ∫_Ω d(x, A)^{-gamma} dx converge?  (Expected iff gamma < N − dim A.)
 
     Evaluates the integral exactly over the holes of the first k ladder levels
-    for each requested depth and applies a Cauchy/divergence verdict.
+    for each requested depth, slicing one set of level integrals built at the
+    largest, and applies a Cauchy/divergence verdict.
     """
-    if desc.ladder is None:
+    if desc.holes is None or desc.holes.ratios is None:
         raise ValueError("the integrability probe is defined for ladder sets")
     n = desc.ambient_dim
-    if not math.isfinite(_hole_integral_coeff(n, n - gamma)):
+    if n - gamma <= n - 1:  # γ >= 1: the integral over a single hole diverges
         return HPReport(gamma=gamma, partials=(math.inf,), convergent=False)
-    partials = [float(np.exp(_ladder_log_blocks(desc, n - gamma, depth)).sum())
-                for depth in sorted(ladder_depths)]
-    ladder = desc.ladder
-    ratio = ladder.count_ratio * ladder.gap_ratio ** (n - gamma)
-    convergent = ratio < 1.0 and math.isfinite(partials[-1])
+    depths = sorted(ladder_depths)
+    blocks = np.exp(_ladder_log_blocks(desc, depths[-1])(n - gamma))
+    partials = [float(blocks[:depth].sum()) for depth in depths]
+    m, a = desc.holes.ratios
+    convergent = m * a ** (n - gamma) < 1.0 and math.isfinite(partials[-1])
     return HPReport(gamma=gamma, partials=tuple(partials), convergent=convergent)
 
 

@@ -66,16 +66,24 @@ def test_carpet_tube_exact_rationals(ambient, t, expected):
     assert got == pytest.approx(float(expected), rel=1e-12)
 
 
+def _cantor_ladder(m: int, a: float):
+    """(first count, first gap, m, a) of C(m, a): m - 1 gaps h = (1 - ma)/(m - 1)."""
+    return m - 1, (1 - m * a) / (m - 1), m, a
+
+
 def test_generalized_cantor_tube_exact():
     # m=3, a=1/5: h = (1 - 3/5)/2 = 1/5, two gaps per block
     desc = geometry.cantor_set(3, 0.2)
-    assert desc.gap_width == pytest.approx(0.2, rel=1e-15)
+    count, h, m, a = _cantor_ladder(3, 0.2)
+    assert h == pytest.approx(0.2, rel=1e-15)
+    assert desc.holes.radii.tolist() == [h / 2]
     # 2t = 1/10 < h: level 1 contributes 2 * (2t), deeper levels scale by 3a
     t = 0.05
-    level = lambda k: 2 * 3 ** (k - 1) * min(0.2 * 0.2 ** (k - 1), 2 * t)
+    level = lambda k: count * m ** (k - 1) * min(h * a ** (k - 1), 2 * t)
     expected = sum(level(k) for k in range(1, 40))
     expected += geometry.tube_volume(desc, 0.0)  # zero, keeps intent clear
-    tail = desc.ladder.total_volume * desc.ladder.volume_ratio ** 39
+    # every level past the 39th is covered: total hole length times (ma)^39
+    tail = count * h / (1 - m * a) * (m * a) ** 39
     assert geometry.tube_volume(desc, t) == pytest.approx(expected + tail, rel=1e-12)
 
 
@@ -83,8 +91,7 @@ def test_generalized_cantor_tube_exact():
 
 
 def _cantor_intervals(m: int, a: float, depth: int):
-    desc = geometry.cantor_set(m, a)
-    span = a + desc.gap_width
+    span = a + _cantor_ladder(m, a)[1]
     starts = np.array([0.0])
     width = 1.0
     for _ in range(depth):
@@ -500,7 +507,8 @@ def _a_string_mp(a, lam, t):
     return 2 * t * lo + lam * mp.power(lo + 1, -a)
 
 
-def _tube_mp(desc, t, full):
+def _tube_mp(desc, t, full, ladder=None):
+    # ``ladder``: (first count, first gap, m, a) of a ladder drum, from _LADDER_ARGS
     mp.mp.dps = 40
     t, lam, n = mp.mpf(t), mp.mpf(desc.scale), desc.ambient_dim
     collar = (2 * t if n == 1 else _steiner_mp(n, lam, t)) if full else 0
@@ -519,17 +527,24 @@ def _tube_mp(desc, t, full):
     cube = lambda g: g**n - max(g - 2 * t, 0) ** n
     if desc.kind == "boxBoundary":
         return cube(lam) + collar
-    lad = desc.ladder
-    count, g, a = mp.mpf(lad.first_count), lam * mp.mpf(lad.first_gap), mp.mpf(lad.gap_ratio)
+    count, g, m, a = (mp.mpf(x) for x in ladder)
+    g *= lam
     vol = mp.mpf(0)
     while g > 2 * t:
         vol += count * cube(g)
-        count, g = count * lad.count_ratio, g * a
+        count, g = count * m, g * a
     # every narrower hole is covered: a geometric series of ratio m·a^n
-    return vol + count * g**n / (1 - lad.count_ratio * a**n) + collar
+    return vol + count * g**n / (1 - m * a**n) + collar
 
 
 _ORACLE_TS = np.logspace(-12, 0, 17)
+
+_LADDER_ARGS = {  # (first count, first gap, m, a) of each ladder in _EVERY_KIND
+    "C(2,1/3)": _cantor_ladder(2, 1 / 3),
+    "C(5,1/10)": _cantor_ladder(5, 0.1),
+    "carpet2": (1, 1 / 3, 8, 1 / 3),
+    "carpet3": (1, 1 / 3, 26, 1 / 3),
+}
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -537,7 +552,7 @@ _ORACLE_TS = np.logspace(-12, 0, 17)
 @pytest.mark.parametrize("name", list(_EVERY_KIND))
 def test_tube_volume_matches_hole_by_hole_oracle(name, lam, full):
     desc = geometry.scaled(_EVERY_KIND[name](), lam)
-    want = np.array([float(_tube_mp(desc, t, full)) for t in _ORACLE_TS])
+    want = np.array([float(_tube_mp(desc, t, full, _LADDER_ARGS.get(name))) for t in _ORACLE_TS])
     got = geometry.tube_volume(desc, _ORACLE_TS, full=full)
     assert np.max(np.abs(got / want - 1)) <= 1e-13
     scalar = np.array([geometry.tube_volume(desc, t, full=full) for t in _ORACLE_TS])
@@ -580,12 +595,6 @@ def test_constructor_validation():
         geometry.tube_volume(geometry.carpet(2), -0.1)
 
 
-def test_gap_ladder_validation_raises():
-    # a raised error, unlike an assert, survives python -O
-    with pytest.raises(ValueError):
-        geometry.GapLadder(1, 1, 0.5, 0.5, 1)
-
-
 def test_similarity_dims():
     assert geometry.cantor_set(2, 1 / 3).similarity_dim == pytest.approx(LN2 / LN3)
     assert geometry.carpet(2).similarity_dim == pytest.approx(math.log(8) / LN3)
@@ -595,19 +604,20 @@ def test_similarity_dims():
     assert geometry.box_boundary(3).similarity_dim == 2.0
 
 
-_LADDERS = {
-    "C(3,0.2)": lambda: geometry.cantor_set(3, 0.2),
-    "carpet2": lambda: geometry.carpet(2),
-    "carpet3": lambda: geometry.carpet(3),
+_LADDERS = {  # constructor, and (first count, first gap, m, a)
+    "C(3,0.2)": (lambda: geometry.cantor_set(3, 0.2), _cantor_ladder(3, 0.2)),
+    "carpet2": (lambda: geometry.carpet(2), _LADDER_ARGS["carpet2"]),
+    "carpet3": (lambda: geometry.carpet(3), _LADDER_ARGS["carpet3"]),
 }
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.7])
 @pytest.mark.parametrize("name", list(_LADDERS))
 def test_ladder_hole_table_holds_levels_above_delta(name, lam):
-    desc = geometry.scaled(_LADDERS[name](), lam)
-    lad, n = desc.ladder, desc.ambient_dim
-    inradius = lambda j: lam * lad.first_gap / 2 * lad.gap_ratio**j  # level j >= 0
+    make, (count, gap, m, a) = _LADDERS[name]
+    desc = geometry.scaled(make(), lam)
+    n = desc.ambient_dim
+    inradius = lambda j: lam * gap / 2 * a**j  # level j >= 0
     table = lambda delta: geometry._hole_table(desc, delta)
     at_level = [table(math.inf).radii[0], table(0.03).radii[-1], table(1e-3).radii[2]]
     below = [np.nextafter(r, 0.0) for r in at_level]  # a level just above δ is a row
@@ -618,8 +628,8 @@ def test_ladder_hole_table_holds_levels_above_delta(name, lam):
         assert inradius(k) <= delta * (1 + 1e-15)
         assert k == 0 or inradius(k - 1) > delta * (1 - 1e-15)
         np.testing.assert_allclose(holes.radii, [inradius(j) for j in range(k + 1)], rtol=1e-15)
-        assert holes.counts.tolist() == [lad.first_count * lad.count_ratio**j for j in range(k + 1)]
-        assert holes.ratios == (lad.count_ratio, lad.gap_ratio)
+        assert holes.counts.tolist() == [count * m**j for j in range(k + 1)]
+        assert holes.ratios == (m, a)
         # each row is a cube of side 2ρ: h(ρ) = (2ρ)^N
         full = (holes.coeffs * holes.radii[:, None] ** np.arange(1, n + 1)).sum(axis=1)
         np.testing.assert_allclose(full, (2 * holes.radii) ** n, rtol=1e-14)
@@ -692,9 +702,8 @@ def test_scaling_round_trip_keeps_equality_and_hash(name):
     (lambda: geometry.cantor_set(2.5, 0.1), "m must be an integer >= 2"),
     (lambda: geometry.fractal_nest(0.5, 2.5), "K must be an integer >= 1"),
     (lambda: geometry.carpet(2.0), "ambient dimension 2 and 3"),
-    (lambda: geometry.GapLadder(2, 2, 0.5, 0.5, 1), "total volume diverges"),
 ], ids=["scaled nan", "scaled inf", "scale nan", "J=0", "J=-3", "m=2.5", "K=2.5",
-        "carpet 2.0", "ladder m*a^N=1"])
+        "carpet 2.0"])
 def test_malformed_drum_is_refused_at_construction(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -867,6 +867,16 @@ def test_hp_probe_gamma_at_colinear_codim_short_circuits():
         zeta.hp_integrability_probe(geometry.flat_drum(), 0.5)
 
 
+@pytest.mark.parametrize("gamma, partials, want", [
+    (0.3, (10.903826988296078, 11.14920453492308, 11.154850726616951, 11.154853587415225), True),
+    (0.5, (14016.320116788811, 18639279.704860188, 32912903910981.77, 1.0262185546333714e+26), False),
+])
+def test_hp_probe_partials_are_pinned(gamma, partials, want):
+    # the partials over 50, 100, 200 and 400 levels of C(2, 1/3), to the bit
+    rep = zeta.hp_integrability_probe(geometry.cantor_set(2, 1 / 3), gamma)
+    assert rep.partials == partials and rep.convergent is want
+
+
 # --- abscissa of convergence -------------------------------------------------------------
 
 
@@ -882,6 +892,29 @@ def test_abscissa_matches_similarity_dim():
 def test_a_string_abscissa_is_pinned(a, want):
     assert zeta.abscissa_of(geometry.a_string_set(a)) == want
     assert abs(want - 1 / (1 + a)) <= 1e-3
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("make, want", [
+    (lambda: geometry.cantor_set(2, 1 / 3), 0.6309084014892579),
+    (lambda: geometry.cantor_set(5, 0.1), 0.6989555206298828),
+    (lambda: geometry.carpet(2), 1.8927617645263672),
+    (lambda: geometry.carpet(3), 2.9656258392333985),
+], ids=["C(2,1/3)", "C(5,1/10)", "carpet2", "carpet3"])
+def test_ladder_abscissa_is_pinned(make, want, lam):
+    desc = make()
+    assert zeta.abscissa_of(geometry.scaled(desc, lam)) == want
+    assert abs(want - desc.similarity_dim) <= 1e-4
+
+
+def test_abscissa_refuses_a_finite_a_string():
+    # 41 points: the zeta converges for every Re s > 0, so there is no
+    # abscissa to scan for, least of all the infinite string's 1/(1 + a)
+    desc = geometry.a_string_set(1.0, 40)
+    est = zeta.tube_zeta_quad(desc, 0.3, 0.5)
+    assert est.value.real == pytest.approx(63.97, abs=0.01) and est.quad_err_bound < 1e-11
+    with pytest.raises(ValueError, match="no convergence scan"):
+        zeta.abscissa_of(desc)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
