@@ -370,6 +370,13 @@ def _hole_table(desc: SetDescriptor, delta: float, full: bool = False) -> _Holes
         j = np.arange(k + 2.0)
         family = rho * a**j
         levels = np.count_nonzero(family > delta) + 1
+        # the deepest level held: count·(its t^N coefficient) and ρ^N are normal
+        # floats, 709.78 and -708.39 bounding the ln of the largest and least one
+        deepest = math.floor(min((709.78 - math.log(counts[-1] * abs(shapes[-1, -1]))) / math.log(m),
+                                 (math.log(rho) + 708.39 / desc.ambient_dim) / -math.log(a)))
+        if levels > deepest + 1:
+            raise ValueError(f"t = {delta:.4g} is below the smallest supported t, "
+                             f"{rho * a**deepest:.4g}")
         counts = np.concatenate((counts[:-1], counts[-1] * float(m) ** j[:levels]))
         radii = np.concatenate((radii[:-1], family[:levels]))
         shapes = np.concatenate((shapes[:-1], np.repeat(shapes[-1:], levels, axis=0)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -299,104 +300,115 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
               43867 / 5109094217170944000, -174611 / 802857662698291200000)
 
 
-def _power_sums(w, lo, hi=None) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_{lo <= j < hi} j^{-w} elementwise over broadcast ``w``, ``lo`` and
-    ``hi``, with a bound on its error.
+# what ``_power_sums`` reads of its blocks' edges that does not depend on w (``_edges``)
+_Edges = namedtuple("_Edges", "log_x corrections lo log_lo remainders log_top log_steps")
 
-    lo and hi are integers >= 1; hi = None sums to infinity, giving the
-    Hurwitz zeta ζ(w, lo), which needs Re w > 1.  By Euler–Maclaurin to order
-    2M, M = 10, the sum is ∫_lo^hi x^{-w} dx + E(lo) - E(hi) with
-    E(x) = x^{-w}·(1/2 + Σ_{k<=M} B_2k/(2k)!·(w)_{2k-1}·x^{1-2k}), (w)_n the
-    rising factorial.  The integral is lo^{1-w}·(e^{(1-w)L} - 1)/(1 - w),
-    L = ln(hi/lo), which cancels nothing at w = 1.  The remainder is at most
-    4|(w)_{2M}|/(2π)^{2M}·lo^{1-Re w-2M}/(Re w + 2M - 1) (Johansson, Numer.
-    Algorithms 69, 2015); roundoff adds a few ulps of each piece, amplified
-    by |w|·ln x in the powers x^{-w}.
+
+def _edges(x) -> _Edges:
+    """Edges x_0 < x_1 < ..., an array of integers >= 1, the last possibly ∞,
+    with ln x and B_2k/(2k)!·x^{1-2k}, k <= M, of the finite ones, and per block
+    x_i, ln x_i, 4x_i^{1-2M}/(2π)^{2M}, ln x_{i+1} (ln x_i to ∞) and ln(x_{i+1}/x_i)."""
+    log_x, blocks = np.log(x[np.isfinite(x)]), len(x) - 1
+    odd = np.exp(np.multiply.outer(log_x, np.arange(-1.0, -2.0 * len(_EM_COEFFS), -2.0)))
+    return _Edges(log_x, (odd * _EM_COEFFS).T, x[:-1], log_x[:blocks],
+                  4.0 / (2.0 * math.pi) ** (2 * len(_EM_COEFFS)) * odd[:blocks, -1],
+                  np.concatenate((log_x[1:], log_x[-1:]))[:blocks], log_x[1:] - log_x[:-1])
+
+
+def _power_sums(w, edges: _Edges) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_{x_i <= j < x_{i+1}} j^{-w} per block of consecutive ``edges``, for each
+    w of the array ``w``, with a bound on its error: arrays of shape w.shape + (blocks,).
+
+    By Euler–Maclaurin to order 2M, M = 10, a block is ∫ x^{-w} dx + E(x_i) -
+    E(x_{i+1}), E(x) = x^{-w}·(1/2 + Σ_{k<=M} B_2k/(2k)!·(w)_{2k-1}·x^{1-2k}),
+    (w)_n rising, E(∞) = 0: to ∞ it is ζ(w, x_i), for Re w > 1.  Each edge's E
+    is computed once, its corrections in one product for all edges.  The
+    integral x_i^{1-w}(e^{(1-w)L} - 1)/(1 - w), L = ln(x_{i+1}/x_i), cancels
+    nothing at w = 1 (x_i^{1-w}/(w - 1) to ∞).  The remainder is at most
+    4|(w)_{2M}|/(2π)^{2M}·x_i^{1-Re w-2M}/(Re w + 2M - 1) (Johansson, Numer.
+    Algorithms 69, 2015); roundoff adds a few ulps of each piece, amplified by
+    |w|·ln x in the powers x^{-w}.
     """
-    w = np.asarray(w, dtype=complex)
-    order = len(_EM_COEFFS)
-    rising = np.cumprod(w[..., None] + np.arange(2.0 * order), axis=-1)  # (w)_1..(w)_2M
-    odd = 1.0 - 2.0 * np.arange(1.0, order + 1.0)
-
-    def end(x):
-        log_x = np.log(x)
-        corr = (rising[..., ::2] * _EM_COEFFS * np.exp(np.multiply.outer(log_x, odd))).sum(axis=-1)
-        return np.exp(-w * log_x) * (0.5 + corr), log_x
-
-    head, log_lo = end(np.asarray(lo, dtype=float))
-    if hi is None:
-        # an ulp of w moves the pole term by |w|/|w - 1| of itself
-        integral = np.exp((1.0 - w) * log_lo) / (w - 1.0)
-        tail, log_top, pole = 0.0, log_lo, np.abs(w / (w - 1.0))
-    else:
-        tail, log_top = end(np.asarray(hi, dtype=float))
-        integral = np.exp((1.0 - w) * log_lo) * _expm1_over(1.0 - w, log_top - log_lo)
-        pole = 0.0
-    rem = 4.0 * np.abs(rising[..., -1]) / (2.0 * math.pi) ** (2 * order) \
-        * np.exp((1.0 - w.real - 2 * order) * log_lo) / (w.real + 2 * order - 1.0)
-    mags = (np.abs(integral) + np.abs(head) + np.abs(tail)) * (1.0 + np.abs(w) * log_top) \
-        + np.abs(integral) * pole
-    return integral + head - tail, rem + _EPS * mags
+    w = np.asarray(w)[..., None]
+    rising = np.cumprod(w + np.arange(2.0 * len(_EM_COEFFS)), axis=-1)  # (w)_1..(w)_2M
+    powers = np.exp(-w * edges.log_x)  # x^{-w}
+    ends = powers * (0.5 + rising[..., ::2] @ edges.corrections)
+    blocks, finite = len(edges.lo), len(edges.log_steps)
+    low = edges.lo * powers[..., :blocks]  # x_i^{1-w}
+    integral = low[..., :finite] * _expm1_over(1.0 - w, edges.log_steps)
+    head, tail = ends[..., :blocks], ends[..., 1:]
+    if finite < blocks:  # the last block runs to ∞
+        integral = np.concatenate((integral, low[..., finite:] / (w - 1.0)), axis=-1)
+        tail = np.concatenate((tail, np.zeros(w.shape)), axis=-1)
+    mags = (np.abs(integral) + np.abs(head) + np.abs(tail)) * (1.0 + np.abs(w) * edges.log_top)
+    if finite < blocks:  # an ulp of w moves the pole term by |w|/|w - 1| of itself
+        mags[..., finite:] += np.abs(integral[..., finite:] * w / (w - 1.0))
+    rem = np.abs(rising[..., -1:]) / (w.real + (2 * len(_EM_COEFFS) - 1.0)) * edges.remainders
+    return integral + head - tail, rem * np.abs(powers[..., :blocks]) + _EPS * mags
 
 
 # Taylor coefficients of g(u)^s kept for the a-string's gaps past the head
 _SERIES_TERMS = 24
 
 
-def _a_string_powers(a: float, s, lo, hi=None) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_{lo <= j < hi} ℓ_j^s over the a-string's gaps ℓ_j = j^{-a} - (j+1)^{-a},
-    elementwise over broadcast ``s`` (Re s >= 0), ``lo`` and ``hi``, with a
-    bound on its error.
-
-    lo >= ``geometry._a_string_head(a, s)``; hi = None sums to infinity, which
-    needs Re s > 1/(1 + a).  ℓ_j = a·j^{-1-a}·g(1/j) with
-    g(u) = (1 - (1+u)^{-a})/(a u) = Σ_m g_m u^m, g_m = (-1)^m (a+1)_m/(m+1)!,
-    so the sum is a^s Σ_{m<K} c_m(s)·P((1+a)s + m) (Lapidus–Radunović–
-    Žubrinić 2017), P the power sums of ``_power_sums`` and c_m the
-    coefficients of g^s from m·c_m = Σ_{k<=m} ((s+1)k - m)·g_k·c_{m-k}.
-    g(u) = ∫_0^1 (1 + tu)^{-1-a} dt is a mean of values with
-    |arg| <= (1 + a)·asin ρ <= π/3 and modulus <= (1 - ρ)^{-1-a} for
-    |u| <= ρ <= sin(π/(3(1 + a))), so there
-    |g^s| <= G = exp((1 + a)(Re s·ln(1/(1 - ρ)) + |Im s|·asin ρ)), and by
-    Cauchy the series past c_{K-1} is at most G·(|u|/ρ)^K/(1 - |u|/ρ); ρ is
-    also at most K/((1 + a)|Im s|), which about minimises that bound for
-    large |Im s|.  With |u| = 1/j, the truncation over j >= lo is at most
-    |a^s|·G·ρ^{-K}/(1 - 1/(lo·ρ))·(lo^{-p} + lo^{1-p}/(p - 1)),
-    p = (1 + a) Re s + K.  Roundoff is scaled by the same recurrence on
-    absolute values.
-    """
-    s = np.asarray(s, dtype=complex)
-    lo = np.asarray(lo, dtype=float)
+@functools.lru_cache(maxsize=256)
+def _a_string_table(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """P, c_m(s) = Σ_j P[m, j]·s^j (m, j < K) being the u^m coefficient of g(u)^s, so
+    column j holds the u-series of (log g)^j/j!, by m·c_m = Σ_{k<=m} (k·s + k - m)·g_k·c_{m-k}
+    on polynomials in s; and its roundoff scale, the same on absolute values times m + 1."""
     big_k = _SERIES_TERMS
-    m = np.arange(1.0, big_k)
-    g = np.concatenate(([1.0], np.cumprod(-(a + m) / (m + 1.0))))
-    # weights[..., n, k - 1] = ((s + 1)k - n)·g_k/n for c_{n-k}; the same on
-    # absolute values, as a second row, gives a scale for the roundoff
-    n = np.arange(1.0, big_k)[:, None]
-    weights = ((s[..., None, None] + 1.0) * m - n) * g[1:] / n
-    weights = np.stack((weights, np.abs(weights)))
-    coeffs = np.zeros(weights.shape[:-2] + (big_k,), dtype=complex)
-    coeffs[..., 0] = 1.0
-    for i in range(1, big_k):
-        coeffs[..., i] = (weights[..., i - 1, :i] * coeffs[..., i - 1::-1]).sum(axis=-1)
-    c, c_abs = coeffs[0], coeffs[1].real
-    w = (1.0 + a) * s[..., None] + np.arange(big_k)
-    if hi is not None:
-        hi = np.asarray(hi, dtype=float)[..., None]
-    sums, sum_errs = _power_sums(w, lo[..., None], hi)
-    scale = np.exp(s * math.log(a))
-    value = scale * (c * sums).sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        rho = np.minimum(math.sin(math.pi / (3.0 * (1.0 + a))),
-                         big_k / ((1.0 + a) * np.abs(s.imag)))
-    p = (1.0 + a) * s.real + big_k
-    growth = (1.0 + a) * (s.real * -np.log1p(-rho) + np.abs(s.imag) * np.arcsin(rho))
-    trunc = np.abs(scale) * np.exp(growth - big_k * np.log(rho)) / (1.0 - 1.0 / (lo * rho)) \
-        * (lo ** -p + lo ** (1.0 - p) / (p - 1.0))
-    roundoff = _EPS * (1.0 + np.abs(s) * abs(math.log(a))) \
-        * (np.arange(1.0, big_k + 1.0) * c_abs * np.abs(sums)).sum(axis=-1)
-    err = np.abs(scale) * ((np.abs(c) * sum_errs).sum(axis=-1) + roundoff) + trunc
-    return value, err
+    g = np.concatenate(([1.0], np.cumprod(-(a + np.arange(1.0, big_k)) / np.arange(2.0, big_k + 1))))
+    tables = np.zeros((2, big_k, big_k))
+    tables[:, 0, 0] = 1.0
+    for n in range(1, big_k):
+        k = np.arange(1, n + 1)
+        prev = tables[:, n - k]  # c_{n-k}: times k - n, and a power of s up times k
+        step = np.stack(((k - n)[:, None] * prev[0], (n - k)[:, None] * prev[1]))
+        step[..., 1:] += k[:, None] * prev[..., :-1]
+        tables[:, n] = (np.stack((g[k], np.abs(g[k])))[:, None] @ step)[:, 0] / n
+    return tables[0], tables[1] * np.arange(1.0, big_k + 1.0)[:, None]
+
+
+def _a_string_powers(a: float, s, edges: _Edges) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Σ_{x_i <= j < x_{i+1}} ℓ_j^s per block of consecutive ``edges`` of the
+    a-string's gaps ℓ_j = j^{-a} - (j+1)^{-a}, for each s of the array ``s``
+    (Re s >= 0), of shape s.shape + (blocks,) and real for a real ``s``, and a
+    function that computes its error bound when asked (the abscissa scan never asks).
+
+    x_0 >= ``geometry._a_string_head(a, s)``; a last edge ∞ needs Re s > 1/(1 + a).
+    ℓ_j = a·j^{-1-a}·g(1/j) with g(u) = (1 - (1+u)^{-a})/(a u) = Σ_m g_m u^m,
+    g_m = (-1)^m (a+1)_m/(m+1)!, so a block is a^s Σ_{m<K} c_m(s)·P((1+a)s + m)
+    (Lapidus–Radunović–Žubrinić 2017), P the power sums of ``_power_sums``, c_m
+    from ``_a_string_table``, whose scale at |s| times _EPS·(1 + |s ln a|) bounds
+    its roundoff.  g(u) = ∫_0^1 (1 + tu)^{-1-a} dt is a mean of values with
+    |arg| <= (1 + a)·asin ρ <= π/3 and modulus <= (1 - ρ)^{-1-a} for |u| <= ρ <=
+    sin(π/(3(1 + a))), so there |g^s| <= G = exp((1 + a)(Re s·ln(1/(1 - ρ)) +
+    |Im s|·asin ρ)), and by Cauchy the series past c_{K-1} is at most
+    G·(|u|/ρ)^K/(1 - |u|/ρ); ρ <= K/((1 + a)|Im s|) about minimises that for
+    large |Im s|.  With |u| = 1/j, the truncation over j >= x_i is at most
+    |a^s|·G·ρ^{-K}/(1 - 1/(x_0 ρ))·(x_i^{-p} + x_i^{1-p}/(p - 1)), at most
+    that times x_i^{1-p}·(1/x_0 + 1/(p - 1)), p = (1 + a) Re s + K.
+    """
+    s = np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
+    big_k = _SERIES_TERMS
+    table, scales = _a_string_table(a)
+    s_powers = np.power(s[..., None], np.arange(big_k))
+    c = s_powers @ table.T
+    sums, sum_errs = _power_sums((1.0 + a) * s[..., None] + np.arange(big_k), edges)
+    scale = np.exp(s * math.log(a))[..., None]
+
+    def bound() -> np.ndarray:
+        roundoff = _EPS * (1.0 + np.abs(s * math.log(a)))[..., None] * (np.abs(s_powers) @ scales.T)
+        err = np.abs(c)[..., None, :] @ sum_errs + roundoff[..., None, :] @ np.abs(sums)
+        r0 = math.sin(math.pi / (3.0 * (1.0 + a)))  # ρ = min(r0, K/((1 + a)|Im s|))
+        rho = r0 * big_k / np.maximum(big_k, r0 * (1.0 + a) * np.abs(s.imag))
+        p, x0 = (1.0 + a) * s.real + big_k, edges.lo.min(initial=math.inf)
+        log_g = (1.0 + a) * (s.real * -np.log1p(-rho) + np.abs(s.imag) * np.arcsin(rho))  # ln G
+        trunc = ((1.0 / x0 + 1.0 / (p - 1.0)) / (1.0 - 1.0 / (x0 * rho)))[..., None] \
+            * np.exp((log_g - big_k * np.log(rho))[..., None] + (1.0 - p)[..., None] * edges.log_lo)
+        return np.abs(scale) * (err[..., 0, :] + trunc)
+
+    return scale * (c[..., None, :] @ sums)[..., 0, :], bound
 
 
 def _a_string_saturated(desc: SetDescriptor, s: np.ndarray, delta: float,
@@ -410,11 +422,11 @@ def _a_string_saturated(desc: SetDescriptor, s: np.ndarray, delta: float,
     """
     lam, a = desc.scale, desc.a
     z = s - 1.0
-    powers, powers_err = _a_string_powers(a, s, start)
+    powers, bound = _a_string_powers(a, s, _edges(np.array([start, math.inf])))
     first = lam * start ** -a * np.exp(z * math.log(delta))
     factor = np.exp(s * math.log(lam) - z * math.log(2.0)) / s
-    second = factor * powers
-    err = np.abs(factor) * powers_err \
+    second = factor * powers[..., 0]
+    err = np.abs(factor) * bound()[..., 0] \
         + _EPS * (np.abs(first) * (1.0 + np.abs(z * math.log(delta))) + np.abs(second))
     return (first - second) / z, err / np.abs(z), _SERIES_TERMS
 
@@ -822,7 +834,7 @@ def scaling_check(desc: SetDescriptor, lam: float, s: complex,
 def _growth_verdict(partials: np.ndarray, thresh: float = 3e-5) -> bool:
     """True when the refinement sequence diverges (increments keep growing)."""
     arr = np.asarray(partials, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         return True
     if len(arr) >= 2 and arr[-1] > 1e12 * max(abs(arr[0]), 1e-300):
         return True
@@ -831,8 +843,7 @@ def _growth_verdict(partials: np.ndarray, thresh: float = 3e-5) -> bool:
     if len(inc) < 4:
         return False
     tail_ratio = np.log(inc[-4:] / inc[-5:-1]) if len(inc) >= 5 else np.log(inc[1:] / inc[:-1])
-    g = float(np.mean(tail_ratio))
-    return g > thresh
+    return float(tail_ratio.sum()) / len(tail_ratio) > thresh
 
 
 def abscissa_scan(evaluator: Callable[[float], np.ndarray], lo: float, hi: float,
@@ -844,9 +855,9 @@ def abscissa_scan(evaluator: Callable[[float], np.ndarray], lo: float, hi: float
     divergence verdict localizes the abscissa of (Lebesgue) convergence.
     """
     if not _growth_verdict(evaluator(lo)):
-        raise ValueError(f"series already convergent at sigma = {lo:g}")
+        raise ValueError(f"abscissa below the scan window ({lo:g}, {hi:g}): converges at its low end")
     if _growth_verdict(evaluator(hi)):
-        raise ValueError(f"series still divergent at sigma = {hi:g}")
+        raise ValueError(f"abscissa above the scan window ({lo:g}, {hi:g}): diverges at its high end")
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if _growth_verdict(evaluator(mid)):
@@ -883,18 +894,18 @@ def _ladder_log_blocks(desc: SetDescriptor, levels: int) -> Callable[[float], np
 
 def _string_blocks(desc: SetDescriptor, imax: int = 21):
     """Partial sums Σ_{j < 2^i} ℓ_j^σ, i = 1..imax, of the a-string's lengths:
-    one by one below the first power of two past the table's head, then one
-    dyadic block [2^{i-1}, 2^i) at a time in closed form (``_a_string_powers``).
+    one by one below the first power of two past the table's head, then the
+    dyadic blocks [2^{i-1}, 2^i) in closed form on edges built once per scan.
     """
     a = desc.a
     first = min(math.ceil(math.log2(geometry._a_string_head(a))), imax)
     logl = np.log(geometry._a_string_length(np.arange(1.0, 2.0**first), a))
     ends = 2 ** np.arange(1, first + 1) - 2  # partial sums over j < 2^i
-    lo = 2.0 ** np.arange(first, imax)
+    edges = _edges(2.0 ** np.arange(first, imax + 1))
 
     def evaluator(sigma: float) -> np.ndarray:
         head = np.cumsum(np.exp(sigma * logl))
-        blocks = _a_string_powers(a, sigma, lo, 2.0 * lo)[0].real
+        blocks = _a_string_powers(a, sigma, edges)[0].real
         return np.concatenate((head[ends], head[-1] + np.cumsum(blocks)))
 
     return evaluator
@@ -933,6 +944,8 @@ def hp_integrability_probe(desc: SetDescriptor, gamma: float,
     """
     if desc.holes is None or desc.holes.ratios is None:
         raise ValueError("the integrability probe is defined for ladder sets")
+    if not (ladder_depths and all(isinstance(k, (int, np.integer)) and k > 0 for k in ladder_depths)):
+        raise ValueError(f"ladder_depths must be positive integers, not {ladder_depths!r}")
     n = desc.ambient_dim
     if n - gamma <= n - 1:  # γ >= 1: the integral over a single hole diverges
         return HPReport(gamma=gamma, partials=(math.inf,), convergent=False)

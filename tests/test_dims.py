@@ -171,3 +171,10 @@ def test_relative_estimators_match_scalar_tube_calls(name):
     # an absolute error in log V is a relative error in V
     scalar = [geometry.log_tube_volume(desc, float(t)) for t in ts[1:]]
     assert logs[1:] == pytest.approx(scalar, rel=0.0, abs=1e-13)
+
+
+def test_carpet_fit_below_the_float_range_names_the_cause():
+    # the carpet's tube volumes are refused past its float range, and the fit
+    # says so rather than finding "fewer than 3 usable grid points"
+    with pytest.raises(ValueError, match="smallest supported t"):
+        dims.relative_box_dim_fit(geometry.carpet(3), dims.log_grid(1e-120, 1e-100, 8))

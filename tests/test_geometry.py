@@ -5,6 +5,7 @@ rationals derived from the hole ladders by hand, interval-construction
 covers, high-precision quadrature (mpmath), and seeded Monte Carlo counts.
 """
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -557,6 +558,24 @@ def test_tube_volume_matches_hole_by_hole_oracle(name, lam, full):
     assert np.max(np.abs(got / want - 1)) <= 1e-13
     scalar = np.array([geometry.tube_volume(desc, t, full=full) for t in _ORACLE_TS])
     assert np.max(np.abs(scalar / want - 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_carpet_tube_volume_refuses_t_below_its_float_range(n):
+    # below some t a table's deepest level would have a subnormal ρ^N, or more
+    # holes than a float counts (26^218 > 1.8e308): such t are refused, naming
+    # the least t supported, at and above which values match the oracle
+    desc, ladder = geometry.carpet(n), (1, 1 / 3, 3**n - 1, 1 / 3)
+    for t in (1e-200, 1e-300, np.array([1e-300, 0.1])):
+        with pytest.raises(ValueError, match="smallest supported t") as info:
+            geometry.tube_volume(desc, t)
+    limit = float(re.search(r"smallest supported t, (\S+)$", str(info.value)).group(1))
+    assert 1e-155 < limit < 1e-102
+    for t in (1.001 * limit, 10 * limit, 1e3 * limit):
+        want = float(_tube_mp(desc, t, False, ladder))
+        assert geometry.tube_volume(desc, t) == pytest.approx(want, rel=1e-13, abs=0.0)
+    with pytest.raises(ValueError, match="smallest supported t"):
+        geometry.tube_volume(desc, 0.999 * limit)
 
 
 @pytest.mark.parametrize("name", list(_EVERY_KIND) + ["flat drum"])

@@ -219,6 +219,71 @@ def test_tube_zeta_quad_on_infinite_a_string_matches_mpmath(a, excess):
                 assert abs(est.value - ref) <= est.err <= 1e-10 * max(1.0, abs(ref))
 
 
+def _g_power_coeffs_mp(a, s, order):
+    """Taylor coefficients c_0..c_{order-1} of g(u)^s, g(u) = (1 - (1+u)^{-a})/(a u),
+    in mpmath at the working precision: g's own are g_k = -C(-a, k+1)/a, and
+    m·c_m = Σ_{k<=m} ((s + 1)k - m)·g_k·c_{m-k} (J. C. P. Miller's recurrence)."""
+    g = [-mp.binomial(-a, k + 1) / a for k in range(order)]
+    c = [mp.mpf(1)]
+    for m in range(1, order):
+        c.append(mp.fsum(((s + 1) * k - m) * g[k] * c[m - k] for k in range(1, m + 1)) / m)
+    return c
+
+
+def _a_string_powers_mp(a, s, lo, hi):
+    """Σ_{lo <= j < hi} ℓ_j^s, ℓ_j = j^{-a} - (j+1)^{-a}, in mpmath: term by term
+    for a finite hi; to hi = ∞ term by term up to J = lo + 64 and past it as
+    a^s Σ_{m<24} c_m·ζ((1+a)s + m, J), the tail of ℓ_j = a j^{-1-a} g(1/j),
+    whose truncation is far below 1e-20 for J >= 2(1 + a)|s|.  mpmath's
+    Hurwitz zeta is accurate to about 10^-dps absolutely, not relatively, so
+    each call gets 40 digits past the size J^{-Re w} of its value."""
+    with mp.workdps(40):
+        a, s = mp.mpf(a), mp.mpc(s)
+        stop = lo + 64 if hi == math.inf else hi
+        value = mp.fsum(mp.power(mp.power(j, -a) - mp.power(j + 1, -a), s) for j in range(lo, stop))
+        if hi == math.inf:
+            c, zetas = _g_power_coeffs_mp(a, s, 24), []
+            for m in range(24):
+                w = (1 + a) * s + m
+                with mp.workdps(40 + int(w.real * math.log10(stop))):
+                    zetas.append(mp.zeta(w, stop))
+            value += mp.power(a, s) * mp.fsum(cm * z for cm, z in zip(c, zetas))
+        return complex(value)
+
+
+_SERIES_POINTS = [(a, s) for a in (0.1, 0.5, 1.0, 2.0, 5.0)
+                  for s in (1 / (1 + a) + 1e-3, 1 / (1 + a) + 1e-3 + 40j,
+                            1 / (1 + a) + 0.2 - 7j, 1.5 + 25j)]
+
+
+@pytest.mark.parametrize("a, s", _SERIES_POINTS)
+def test_a_string_series_coefficients_match_mpmath(a, s):
+    # c_m(s) = Σ_j P[m, j]·s^j from the table, against a 60-digit recurrence,
+    # within the roundoff scale the bound charges
+    table, scales = zeta._a_string_table(a)
+    j = np.arange(len(table))
+    got = np.power(complex(s), j) @ table.T
+    with mp.workdps(60):
+        want = np.array([complex(c) for c in _g_power_coeffs_mp(mp.mpf(a), mp.mpc(s), len(j))])
+    assert np.all(np.abs(got - want) <= zeta._EPS * (abs(s) ** j @ scales.T))
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-10
+
+
+@pytest.mark.parametrize("a, s", _SERIES_POINTS)
+def test_a_string_powers_match_mpmath_within_their_bound(a, s):
+    # two dyadic blocks and the tail past them in one call, which share their
+    # edges' Euler–Maclaurin ends; a real s takes the real path
+    x0 = 2 ** math.ceil(math.log2(geometry._a_string_head(a, s)))
+    edges = (x0, 2 * x0, 4 * x0, math.inf)
+    s_in = s.real if s.imag == 0 else s
+    value, bound = zeta._a_string_powers(a, np.array([s_in]), zeta._edges(np.array(edges, float)))
+    value, err = value[0], bound()[0]
+    assert value.shape == err.shape == (3,)
+    want = np.array([_a_string_powers_mp(a, s, lo, hi) for lo, hi in zip(edges, edges[1:])])
+    assert np.all(np.abs(value - want) <= err)
+    assert np.all(err <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize("a, s", [
     (2.0, 0.36 + 0.3j),  # 0.027 right of D = 1/3
     (1.0, 0.8 + 100j),
@@ -867,6 +932,12 @@ def test_hp_probe_gamma_at_colinear_codim_short_circuits():
         zeta.hp_integrability_probe(geometry.flat_drum(), 0.5)
 
 
+@pytest.mark.parametrize("depths", [(), [], (0,), (50, -1), (2.5,), ("50",), (None,)])
+def test_hp_probe_refuses_bad_ladder_depths(depths):
+    with pytest.raises(ValueError, match="ladder_depths"):
+        zeta.hp_integrability_probe(geometry.cantor_set(2, 1 / 3), 0.3, ladder_depths=depths)
+
+
 @pytest.mark.parametrize("gamma, partials, want", [
     (0.3, (10.903826988296078, 11.14920453492308, 11.154850726616951, 11.154853587415225), True),
     (0.5, (14016.320116788811, 18639279.704860188, 32912903910981.77, 1.0262185546333714e+26), False),
@@ -905,6 +976,12 @@ def test_ladder_abscissa_is_pinned(make, want, lam):
     desc = make()
     assert zeta.abscissa_of(geometry.scaled(desc, lam)) == want
     assert abs(want - desc.similarity_dim) <= 1e-4
+
+
+def test_abscissa_refuses_a_ladder_below_its_scan_window():
+    # D = log 2 / log 10^308 ≈ 9.8e-4 lies below the ladder window (N - 1 + 1e-3, N)
+    with pytest.raises(ValueError, match=r"abscissa below the scan window \(0\.001, 1\)"):
+        zeta.abscissa_of(geometry.cantor_set(2, 1e-308))
 
 
 def test_abscissa_refuses_a_finite_a_string():
