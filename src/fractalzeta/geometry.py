@@ -431,22 +431,23 @@ def region_volume(desc: SetDescriptor) -> float:
 
 
 def _a_string_count(a: float, u: np.ndarray) -> np.ndarray:
-    """j* = #{ j >= 1 : ℓ_j > 2u } for the infinite a-string, for each u > 0."""
-    two_u = 2.0 * np.asarray(u, dtype=float)
-    # a(j+1)^{-a-1} <= ℓ_j <= a j^{-a-1} puts j* in [g - 2, g), g = ⌈(a/2u)^{1/(1+a)}⌉;
-    # widen that bracket until ℓ_lo > 2u (ℓ_0 = ∞) and ℓ_hi <= 2u hold in
-    # floating point, then bisect, ℓ_j being decreasing
-    guess = np.ceil((a / two_u) ** (1.0 / (1.0 + a)))
+    """j* = #{ j >= 1 : ℓ_j > 2u } for the infinite a-string, for each u > 0 of
+    an array; past 2^53 a float at most 2 ulp below it, past 2^1024 one below."""
+    two_u, e = 2.0 * u, 1.0 / (1.0 + a)
+    # a(j+1)^{-a-1} <= ℓ_j <= a j^{-a-1} puts j* in [g - 2, g), g = ⌈a^e/(2u)^e⌉ (a/2u may
+    # overflow); widen that bracket until ℓ_lo > 2u (ℓ_0 = ∞) and ℓ_hi <= 2u hold in
+    # floating point, then bisect until hi - lo is 1, or at most 2 ulp where floats are
+    # more than 1 apart, ℓ_j being decreasing
+    guess = np.ceil(a**e / two_u**e)
     lo, hi = np.maximum(guess - 3.0, 0.0), guess + 1.0
     while (short := _a_string_length(hi, a) > two_u).any():
         hi = np.where(short, 2.0 * hi, hi)
     while (wide := (lo > 0) & (_a_string_length(np.maximum(lo, 1.0), a) <= two_u)).any():
-        lo = np.where(wide, np.floor(0.5 * lo), lo)
-    while (open_ := hi - lo > 1.0).any():
-        mid = np.floor(0.5 * (lo + hi))
+        lo = np.where(wide, np.floor(0.5 * np.minimum(lo, 1e308)), lo)  # g may be ∞
+    while (hi - lo > 1.0 + 2.0**-52 * hi).any():
+        mid = np.floor(0.5 * (lo + hi))  # lo where hi - lo is 1: the step leaves it
         above = _a_string_length(np.maximum(mid, 1.0), a) > two_u
-        lo = np.where(open_ & above, mid, lo)
-        hi = np.where(open_ & ~above, mid, hi)
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     return lo
 
 
@@ -518,10 +519,10 @@ class _Strata(NamedTuple):
     Stratum h covers volume ``volumes[h]`` and takes ``samples[h]`` of the
     samples, the pool last.  ``draw(ids, counts, rng, out=None)`` writes log
     d(x, A) for counts[i] uniform points x of stratum ids[i], ids being
-    consecutive, one after another into ``out``, or a fresh array, and
-    returns it.  ``cut`` is log δ when a drawn distance may exceed δ, which
-    then weighs 0, +∞ when one may be 0, a point of A, and None when neither
-    can happen.
+    consecutive, both lists of ints, one after another into ``out``, or a
+    fresh array, and returns it.  ``cut`` is log δ when a drawn distance may
+    exceed δ, which then weighs 0, +∞ when one may be 0, a point of A, and
+    None when neither can happen.
     """
 
     volumes: np.ndarray
@@ -534,15 +535,20 @@ def _radial(u: np.ndarray, degree) -> np.ndarray:
     """log(d/r) from a uniform u in [0, 1), in place: log(1 - u^{1/k}) in a
     hole of degree k >= 1 and inradius r, log(1 - u)/j in the collar's power
     j = -k, r being δ there (see ``_hole_law``).  ``degree`` is a number, or
-    an array of one per point."""
+    an array of one per point.  u lies on numpy's 2^-53 grid, so 1 - u is
+    exact and its log is taken directly, at half the cost of log1p(-u), and
+    at k = 2 as log((1 - u)/(1 + √u)), cheaper than through expm1."""
     with np.errstate(divide="ignore"):
-        if np.ndim(degree):
+        if isinstance(degree, np.ndarray):
             k = np.abs(degree)
-            u[...] = np.where(degree > 0, np.log(-np.expm1(np.log(u) / k)), np.log1p(-u) / k)
+            u[...] = np.where(degree > 1, np.log(-np.expm1(np.log(u) / k)), np.log(1.0 - u) / k)
         elif degree == 1 or degree < 0:  # 1 - u^{1/1} is 1 - u
-            np.log1p(np.negative(u, out=u), out=u)
+            np.log(np.subtract(1.0, u, out=u), out=u)
             if degree < -1:
                 u /= -degree
+        elif degree == 2:  # 1 - √u = (1 - u)/(1 + √u), without cancellation
+            root = np.sqrt(u)
+            np.log(np.divide(np.subtract(1.0, u, out=u), np.add(root, 1.0, out=root), out=u), out=u)
         else:
             np.log(u, out=u)
             u /= degree
@@ -622,7 +628,7 @@ def _hole_law(desc: SetDescriptor, samples: int, delta: float | None) -> _Strata
     cum, volumes = np.cumsum(vols[~strat]), vols[strat]
     if pooled:
         volumes, counts = np.append(volumes, cum[-1]), np.append(counts, pooled)
-    s_log_r, s_deg = log_r[strat], degrees[strat]
+    s_log_r, s_deg = log_r[strat].tolist(), degrees[strat].tolist()
     last, p_log_r, p_deg = len(cum) - 1, log_r[~strat], degrees[~strat]
 
     def pool(count: int, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -637,23 +643,24 @@ def _hole_law(desc: SetDescriptor, samples: int, delta: float | None) -> _Strata
         out += r
 
     def draw(ids, counts, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-        # the strata before the pool take one uniform each, drawn at once
-        ids, counts = np.atleast_1d(ids), np.atleast_1d(counts)
-        out = np.empty(int(counts.sum())) if out is None else out
-        inner = np.count_nonzero(ids < len(s_deg))
-        ends = np.cumsum(counts[:inner])
-        begins = ends - counts[:inner]
-        if inner:
-            u = rng.random(out=out[:ends[-1]])
-            # a ladder's levels share one degree: one pass per run of equal degrees
-            degree = s_deg[ids[:inner]]
-            runs = np.flatnonzero(np.diff(degree, prepend=np.nan))
-            for i, j in zip(runs.tolist(), np.append(runs[1:], inner).tolist()):
-                _radial(u[begins[i]:ends[j - 1]], degree[i])
-            for r, first, stop in zip(s_log_r[ids[:inner]].tolist(), begins.tolist(), ends.tolist()):
-                u[first:stop] += r
-        if inner < len(ids):
-            pool(int(counts[-1]), rng, out[ends[-1] if inner else 0:])
+        in_pool = counts[-1] if ids[-1] == len(s_deg) else 0
+        inner, size = len(ids) - (in_pool > 0), sum(counts)
+        out = np.empty(size) if out is None else out
+        # the strata before the pool take one uniform each, drawn at once, and
+        # one pass per run of equal degrees: a ladder's levels share one
+        u = rng.random(out=out[:size - in_pool])
+        first = stop = 0
+        for i in range(inner):
+            stop += counts[i]
+            if i + 1 == inner or s_deg[ids[i + 1]] != s_deg[ids[i]]:
+                _radial(u[first:stop], s_deg[ids[i]])
+                first = stop
+        stop = 0
+        for h, count in zip(ids[:inner], counts):
+            stop += count
+            u[stop - count:stop] += s_log_r[h]
+        if in_pool:
+            pool(in_pool, rng, out[size - in_pool:size])
         return out
 
     above = delta is not None and holes.radii.max() > delta

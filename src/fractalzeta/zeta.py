@@ -743,9 +743,10 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
     √(Σ_h V_h²·var_h/n_h), var_h the population variance.  The flat drum has
     no holes: it samples its cusp, relative mode only, as one stratum.  The
     strata's samples are drawn in a fixed order, blocks of ``_MC_BLOCK`` at a
-    time in buffers reused from block to block, and each stratum's part of a
-    block is merged into its running mean and sum of squared deviations
-    (Chan, Golub & LeVeque 1979).  Deterministic for a fixed seed.
+    time in buffers reused from block to block, led by a cursor (stratum,
+    samples drawn) in Python ints; each stratum's part of a block gives its
+    mean, then its sum of squared deviations from it, merged into its running
+    pair (Chan, Golub & LeVeque 1979).  Deterministic for a fixed seed.
     Raises :class:`ValueError` for a non-finite s, an n not an integer >= 2,
     a seed not an integer >= 0 or a full-mode δ not in (0, ∞), and
     :class:`NonconvergenceError` at Re s <= (N + D)/2, where the variance is
@@ -772,30 +773,35 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
     else:
         law = geometry._hole_law(desc, n, delta if full else None)
     w, rng = s - desc.ambient_dim, np.random.default_rng(seed)
-    ends = np.cumsum(law.samples)  # stratum h takes the samples [ends[h] - samples[h], ends[h])
-    count, mean, m2 = np.zeros(len(ends)), np.zeros(len(ends), complex), np.zeros(len(ends))
+    samples = law.samples.tolist()
+    count, mean, m2 = [0] * len(samples), [0j] * len(samples), [0.0] * len(samples)
     size = min(n, _MC_BLOCK)
     log_d, vals, work = np.empty(size), np.empty(size, complex), _cexp_work(size)
+    h = drawn = 0  # the cursor: the stratum being drawn, and how many of its samples are
     for start in range(0, n, _MC_BLOCK):
-        stop = min(start + _MC_BLOCK, n)
-        # the strata met in this block, and where each begins and ends in it
-        ids = np.arange(*np.searchsorted(ends, (start, stop - 1), side="right") + (0, 1))
-        begin = np.maximum(ends[ids] - law.samples[ids], start) - start
-        lens = np.minimum(ends[ids], stop) - start - begin
-        size = stop - start
+        size = min(_MC_BLOCK, n - start)
+        ids, begins, lens, at = [], [], [], 0  # the strata met in this block, where, how many
+        while at < size:
+            ids.append(h)
+            begins.append(at)
+            lens.append(min(samples[h] - drawn, size - at))
+            at, drawn = at + lens[-1], drawn + lens[-1]
+            if drawn == samples[h]:
+                h, drawn = h + 1, 0
         law.draw(ids, lens, rng, log_d[:size])
         block = _mc_weights(w, log_d[:size], law.cut, vals[:size], [a[:size] for a in work])
-        means = np.add.reduceat(block, begin) / lens
-        for mu, a, b in zip(means.tolist(), begin.tolist(), (begin + lens).tolist()):
-            block[a:b] -= mu
+        means = (np.add.reduceat(block, begins) / lens).tolist()
+        for mu, a, c in zip(means, begins, lens):
+            block[a:a + c] -= mu
         squares = np.square(block.view(float), out=block.view(float))
-        step, merged = means - mean[ids], count[ids] + lens
-        mean[ids] += step * (lens / merged)
-        m2[ids] += (np.add.reduceat(squares, 2 * begin)
-                    + (step.real**2 + step.imag**2) * count[ids] * lens / merged)
-        count[ids] = merged
+        sums = np.add.reduceat(squares, [2 * a for a in begins]).tolist()
+        for i, mu, c, q in zip(ids, means, lens, sums):
+            step, merged = mu - mean[i], count[i] + c
+            mean[i] += step * (c / merged)
+            m2[i] += q + (step.real**2 + step.imag**2) * (count[i] * c / merged)
+            count[i] = merged
     value = complex(law.volumes @ mean)
-    std_err = math.sqrt(float((law.volumes**2 * m2 / count**2).sum()))
+    std_err = math.sqrt(float((law.volumes**2 * np.array(m2) / np.array(count)**2).sum()))
     return ZetaEstimate(value=value, std_err=std_err, samples=n)
 
 

@@ -451,6 +451,32 @@ def test_a_string_breakpoints_are_every_half_gap():
     assert np.all(np.diff(bps) > 0)
 
 
+def _a_string_tube_mp(a: float, t: float):
+    # 2t·j* + (j*+1)^{-a}, j* = #{j : ℓ_j > 2t} by bisection over the integers at
+    # 60 digits, ℓ_j = j^{-a}(1 - (1 + 1/j)^{-a}) taken without cancellation
+    with mp.workdps(60):
+        a, two_t = mp.mpf(a), 2 * mp.mpf(t)
+        gap = lambda j: mp.power(j, -a) * -mp.expm1(-a * mp.log1p(mp.mpf(1) / j))
+        lo, hi = 0, 2
+        while gap(hi) > two_t:
+            hi *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if gap(mid) > two_t else (lo, mid)
+        return two_t * lo + mp.power(lo + 1, -a)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_a_string_tube_volume_past_2_53_gaps(a):
+    # once j* passes 2^53 adjacent floats are more than 1 apart, and a bisection
+    # that waits for hi - lo <= 1 never ended: tube_volume(a_string_set(1), 6e-33) hung
+    desc, ts = geometry.a_string_set(a), [1e-33, 1e-100, 1e-300]
+    refs = [_a_string_tube_mp(a, t) for t in ts]
+    for t, ref in zip(ts, refs):
+        assert geometry.tube_volume(desc, t) == pytest.approx(float(ref), rel=1e-13)
+    assert geometry.tube_volume(desc, np.array(ts)) == pytest.approx(np.array(refs, float), rel=1e-13)
+
+
 def test_breakpoints_validation():
     desc = geometry.cantor_set(2, 1 / 3)
     with pytest.raises(ValueError):
@@ -772,3 +798,31 @@ def test_distance_scaling_equivariance(lam, x):
     big = geometry.scaled(desc, lam)
     assert geometry.distance(big, lam * x) == pytest.approx(
         lam * geometry.distance(desc, x), rel=1e-12, abs=1e-300)
+
+
+# --- radial law of the Monte Carlo strata ------------------------------------
+
+
+def _radial_points() -> np.ndarray:
+    # the ends of [0, 1) and 10^4 points on numpy's 2^-53 grid of uniforms: half
+    # as drawn, half log-spaced down to 2^-53
+    ends = [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+    drawn = np.random.default_rng(5).random(5000)
+    spread = np.round(np.logspace(-53.0 * math.log10(2.0), 0.0, 5000, endpoint=False) * 2.0**53)
+    return np.concatenate((ends, drawn, spread * 2.0**-53))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, -1, -2, -3])
+def test_radial_matches_mpmath(degree):
+    # log(1 - u^{1/k}) in a hole of degree k, log(1 - u)/j in the collar's power
+    # j = -degree, one degree for all points and one per point alike
+    u = _radial_points()
+    with mp.workdps(40):
+        if degree > 0:
+            ref = np.array([float(mp.log(1 - mp.root(mp.mpf(x), degree))) for x in u])
+        else:
+            ref = np.array([float(mp.log(1 - mp.mpf(x)) / -degree) for x in u])
+    bound = 4.0 * 2.0**-52 * np.maximum(1.0, np.abs(ref))
+    for deg in (float(degree), np.full(len(u), float(degree))):
+        got = geometry._radial(u.copy(), deg)
+        assert np.all(np.abs(got - ref) <= bound), (deg, np.max(np.abs(got - ref) / bound))

@@ -391,7 +391,7 @@ def test_ladder_hole_law_matches_tube_volume(name):
     n = 200_000
     pooled = geometry._hole_law(desc, 0, None)
     assert len(pooled.samples) == 1
-    log_d = pooled.draw(0, n, np.random.default_rng(3))
+    log_d = pooled.draw([0], [n], np.random.default_rng(3))
     assert log_d.shape == (n,) and np.all(np.isfinite(log_d))
     ts = [0.1, 0.02, 1e-6]
     if name == "carpet2":
@@ -403,7 +403,8 @@ def test_ladder_hole_law_matches_tube_volume(name):
     for delta in (None, 0.45 * desc.scale):
         law = geometry._hole_law(desc, n, delta)
         assert law.samples.sum() == n and law.samples.min() >= 2
-        draws = law.draw(np.arange(len(law.samples)), law.samples, np.random.default_rng(4))
+        ids = list(range(len(law.samples)))
+        draws = law.draw(ids, law.samples.tolist(), np.random.default_rng(4))
         parts = np.split(draws, np.cumsum(law.samples)[:-1])
         assert [len(part) for part in parts] == law.samples.tolist()
         total = law.volumes.sum()
@@ -494,8 +495,21 @@ _B = zeta._MC_BLOCK
 def test_distance_zeta_mc_block_merge_matches_one_pass(n, full, monkeypatch):
     # the running (mean, M2) of each stratum, merged block by block, equals
     # the mean and population variance of that stratum's concatenated draws
-    desc, s, seed = geometry.carpet(2), 1.97 + 0.5j, 7
-    delta = 0.45 if full else None
+    _check_block_merge(geometry.carpet(2), 1.97 + 0.5j, n, 0.45 if full else None, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [10**4, _B + 3])
+@pytest.mark.parametrize("name, s, delta", [("carpet3", 2.99 + 0.5j, 0.45), ("cantor", 0.9 + 1.0j, None)])
+def test_distance_zeta_mc_block_merge_with_many_strata_per_block(name, s, delta, n, monkeypatch):
+    # the same where the first block holds several strata whole (4 to 16 here),
+    # and the second, if any, the pool's last three samples
+    law = geometry._hole_law(_HOLE_LAW_SETS[name](), n, delta)
+    assert np.count_nonzero(np.cumsum(law.samples) <= _B) >= 4
+    _check_block_merge(_HOLE_LAW_SETS[name](), s, n, delta, monkeypatch)
+
+
+def _check_block_merge(desc, s, n, delta, monkeypatch):
+    full, seed = delta is not None, 7
     seen = _spy_weights(monkeypatch)
     est = distance_zeta_mc(desc, s, n=n, seed=seed, delta=delta, full=full)
     assert len(seen) == -(-n // _B)
@@ -570,9 +584,9 @@ def test_distance_zeta_mc_results_do_not_share_buffers():
     assert (first.value, first.std_err) == kept != (second.value, second.std_err)
     law = geometry._hole_law(desc, 40_000, None)
     rng = np.random.default_rng(3)
-    draw = law.draw(0, 1000, rng)
+    draw = law.draw([0], [1000], rng)
     copy = draw.copy()
-    again = law.draw(0, 1000, rng)
+    again = law.draw([0], [1000], rng)
     assert np.array_equal(draw, copy) and not np.array_equal(draw, again)
     assert not np.shares_memory(draw, again)
 
