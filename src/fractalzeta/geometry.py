@@ -432,18 +432,24 @@ def region_volume(desc: SetDescriptor) -> float:
 
 def _a_string_count(a: float, u: np.ndarray) -> np.ndarray:
     """j* = #{ j >= 1 : ℓ_j > 2u } for the infinite a-string, for each u > 0 of
-    an array; past 2^53 a float at most 2 ulp below it, past 2^1024 one below."""
+    an array; past 2^53 a float at most 2 ulp below it.  Raises ``ValueError``
+    where j* would pass 2^1022, the float range: u below ℓ_{2^1022}/2, a < 0.048."""
     two_u, e = 2.0 * u, 1.0 / (1.0 + a)
-    # a(j+1)^{-a-1} <= ℓ_j <= a j^{-a-1} puts j* in [g - 2, g), g = ⌈a^e/(2u)^e⌉ (a/2u may
-    # overflow); widen that bracket until ℓ_lo > 2u (ℓ_0 = ∞) and ℓ_hi <= 2u hold in
-    # floating point, then bisect until hi - lo is 1, or at most 2 ulp where floats are
-    # more than 1 apart, ℓ_j being decreasing
-    guess = np.ceil(a**e / two_u**e)
-    lo, hi = np.maximum(guess - 3.0, 0.0), guess + 1.0
+    least = 0.5 * a * 2.0 ** (-1022.0 * (1.0 + a))  # ℓ_{2^1022}/2, 0.0 for a >= 0.048
+    if least and (u < least).any():
+        raise ValueError(f"t/λ = {u.min():.4g} is below the smallest supported t/λ, {least:.4g}")
+    # a(j+1)^{-a-1} <= ℓ_j <= a j^{-a-1} puts j* near g = a^e/(2u)^e, 10² ulp off at u =
+    # 1e-300; a step of the local law ℓ ∝ j^{-1/e} takes g within 0.12 (j* >= 1) or 2 ulp.
+    # Widen g(1 ± 2^-50) ± 1/4 until ℓ_lo > 2u (ℓ_0 = ∞) and ℓ_hi <= 2u hold in floating
+    # point, then bisect until hi - lo is 1, or 2 ulp where floats are more than 1 apart
+    guess = a**e / two_u**e
+    guess *= (_a_string_length(np.maximum(guess, 1.0), a) / two_u) ** e
+    lo = np.maximum(np.floor(guess * (1.0 - 2.0**-50) - 0.25), 0.0)
+    hi = np.ceil(guess * (1.0 + 2.0**-50) + 0.25)
     while (short := _a_string_length(hi, a) > two_u).any():
         hi = np.where(short, 2.0 * hi, hi)
     while (wide := (lo > 0) & (_a_string_length(np.maximum(lo, 1.0), a) <= two_u)).any():
-        lo = np.where(wide, np.floor(0.5 * np.minimum(lo, 1e308)), lo)  # g may be ∞
+        lo = np.where(wide, np.floor(0.5 * lo), lo)
     while (hi - lo > 1.0 + 2.0**-52 * hi).any():
         mid = np.floor(0.5 * (lo + hi))  # lo where hi - lo is 1: the step leaves it
         above = _a_string_length(np.maximum(mid, 1.0), a) > two_u
@@ -522,13 +528,14 @@ class _Strata(NamedTuple):
     consecutive, both lists of ints, one after another into ``out``, or a
     fresh array, and returns it.  ``cut`` is log δ when a drawn distance may
     exceed δ, which then weighs 0, +∞ when one may be 0, a point of A, and
-    None when neither can happen.
+    None when neither can happen.  ``bound`` bounds every finite |log d| drawn.
     """
 
     volumes: np.ndarray
     samples: np.ndarray
     draw: Callable[..., np.ndarray]
     cut: float | None
+    bound: float
 
 
 def _radial(u: np.ndarray, degree) -> np.ndarray:
@@ -663,9 +670,15 @@ def _hole_law(desc: SetDescriptor, samples: int, delta: float | None) -> _Strata
             pool(in_pool, rng, out[size - in_pool:size])
         return out
 
+    # a finite log d lies in [log r + log 2^-53 - ln N, log r] (U <= 1 - 2^-53, degree <= N),
+    # the pool's tail taking it lower by its value at V = 2^-53 (the a-string's, the log of
+    # a float, is >= -744.5); a hole of inradius r holds a ball: ω_N r^N <= total
+    deepest = -744.5 if _truncated(desc) else 0.0 if tail is None else float(tail(2.0**-53))
+    bound = max(36.8 + math.log(n) - float(log_r.min()) - deepest,
+                math.log(delta or 1.0), math.log(total / _ball_volume(n)) / n)
     above = delta is not None and holes.radii.max() > delta
     return _Strata(volumes, counts, draw,
-                   math.log(delta) if above else math.inf if _truncated(desc) else None)
+                   math.log(delta) if above else math.inf if _truncated(desc) else None, bound)
 
 
 def log_tube_volume(desc: SetDescriptor, t: float | np.ndarray,

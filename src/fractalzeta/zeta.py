@@ -632,7 +632,8 @@ def _flat_drum_log_distances(desc: SetDescriptor, count: int,
 
 def _flat_drum_law(desc: SetDescriptor, n: int) -> geometry._Strata:
     """The flat drum's distance law as one stratum of n samples, drawn by
-    ``_flat_drum_log_distances``."""
+    ``_flat_drum_log_distances``.  A kept point has e^{-1/x} > 0, so x > 1/746,
+    and |x + iy| < 1.07: log d lies within log λ ± 6.7."""
     def draw(ids, counts, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
         log_d = _flat_drum_log_distances(desc, int(np.sum(counts)), rng)
         if out is None:
@@ -640,7 +641,8 @@ def _flat_drum_law(desc: SetDescriptor, n: int) -> geometry._Strata:
         out[:] = log_d
         return out
 
-    return geometry._Strata(np.array([region_volume(desc)]), np.array([n]), draw, None)
+    return geometry._Strata(np.array([region_volume(desc)]), np.array([n]), draw, None,
+                            abs(math.log(desc.scale)) + 6.7)
 
 
 def _variance_threshold(desc: SetDescriptor) -> float | None:
@@ -676,14 +678,15 @@ def _cexp_work(size: int) -> tuple[np.ndarray, ...]:
 
 
 def _cexp(w: complex, x: np.ndarray, out: np.ndarray | None = None,
-          work: Sequence[np.ndarray] | None = None) -> np.ndarray:
+          work: Sequence[np.ndarray] | None = None, bound: float | None = None) -> np.ndarray:
     """exp(w·x) for a 1-d float64 array x within a few ulp, table-driven (Tang
-    1989): Im w·x = 2πk/M + r exactly, then e^{2πik/M} from the table and
-    degree-4 and degree-3 Taylor polynomials for cos r and sin r.  A real w
-    takes one real exp, and numpy's complex exp takes over past |Im w·x| =
-    2^19, where the reduction would not be exact.  Written into ``out``, a
-    complex array of x's length, with ``work`` (``_cexp_work``) as scratch;
-    either is allocated when not given."""
+    1989): Im w·x = 2πk/M + r exactly, then e^{2πik/M} from the table at k & (M - 1),
+    k mod M as M is a power of two, and Taylor polynomials of degree 4 and 3 for
+    cos r and sin r.  A real w takes one real exp; past |Im w·x| = 2^19, where the
+    reduction is not exact, numpy's complex exp.  A ``bound`` on |x| rules that
+    out by |Im w|·bound < 2^19; without one, or if that fails, x's range is scanned.
+    Written into ``out``, a complex array of x's length, with ``work``
+    (``_cexp_work``) as scratch; either is allocated when not given."""
     if out is None:
         out = np.empty(x.shape, complex)
     if not w.imag:
@@ -692,12 +695,14 @@ def _cexp(w: complex, x: np.ndarray, out: np.ndarray | None = None,
         return out
     r, k, modulus, index, table = _cexp_work(len(x)) if work is None else work
     np.multiply(x, w.imag, out=r)
-    if not -2.0**19 < r.min(initial=0.0) <= r.max(initial=0.0) < 2.0**19:
+    if not (bound is not None and abs(w.imag) * bound < 2.0**19
+            or -2.0**19 < r.min(initial=0.0) <= r.max(initial=0.0) < 2.0**19):
         return np.exp(np.multiply(x, w, out=out), out=out)
     np.rint(np.multiply(r, _CEXP_M / math.tau, out=k), out=k)
     r -= np.multiply(k, _CEXP_HI, out=modulus)  # exact
     r -= np.multiply(k, _CEXP_LO, out=modulus)
     np.copyto(index, k, casting="unsafe")
+    np.bitwise_and(index, _CEXP_M - 1, out=index)  # k mod M
     r2 = np.multiply(r, r, out=k)
     np.exp(np.multiply(x, w.real, out=modulus), out=modulus)
     # e^{Re w·x}·e^{ir}, its parts computed in the two halves of the table's scratch
@@ -712,18 +717,18 @@ def _cexp(w: complex, x: np.ndarray, out: np.ndarray | None = None,
     im *= r
     im *= modulus
     out.real, out.imag = re, im
-    out *= np.take(_cexp_table(), index, out=table, mode="wrap")  # k mod M
+    out *= np.take(_cexp_table(), index, out=table, mode="clip")  # in range: clip does nothing
     return out
 
 
 def _mc_weights(w: complex, log_d: np.ndarray, cut: float | None, out: np.ndarray | None = None,
-                work: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """exp(w·log d) by ``_cexp``, into ``out``; 0, its ``log_d`` zeroed, where
-    d = 0 or log d > ``cut``.  A ``cut`` of None drops nothing."""
+                work: Sequence[np.ndarray] | None = None, bound: float | None = None) -> np.ndarray:
+    """exp(w·log d) by ``_cexp``, given the law's ``bound`` on |log d|, into ``out``; 0,
+    its ``log_d`` zeroed, where d = 0 or log d > ``cut``.  A ``cut`` of None drops nothing."""
     if cut is not None:
         drop = (log_d == -math.inf) | (log_d > cut)
         log_d[drop] = 0.0
-    vals = _cexp(w, log_d, out, work)
+    vals = _cexp(w, log_d, out, work, bound)
     if cut is not None:
         vals[drop] = 0.0
     return vals
@@ -788,8 +793,10 @@ def distance_zeta_mc(desc: SetDescriptor, s: complex, n: int, seed: int,
             at, drawn = at + lens[-1], drawn + lens[-1]
             if drawn == samples[h]:
                 h, drawn = h + 1, 0
-        law.draw(ids, lens, rng, log_d[:size])
-        block = _mc_weights(w, log_d[:size], law.cut, vals[:size], [a[:size] for a in work])
+        if size < len(log_d):  # the last block, shorter: the buffers' heads
+            log_d, vals, work = log_d[:size], vals[:size], [a[:size] for a in work]
+        law.draw(ids, lens, rng, log_d)
+        block = _mc_weights(w, log_d, law.cut, vals, work, law.bound)
         means = (np.add.reduceat(block, begins) / lens).tolist()
         for mu, a, c in zip(means, begins, lens):
             block[a:a + c] -= mu

@@ -477,6 +477,27 @@ def test_a_string_tube_volume_past_2_53_gaps(a):
     assert geometry.tube_volume(desc, np.array(ts)) == pytest.approx(np.array(refs, float), rel=1e-13)
 
 
+@pytest.mark.parametrize("a", [0.01, 0.03])
+def test_a_string_tube_volume_refuses_past_the_float_range(a):
+    # below t = ℓ_{2^1022}/2 the count j* of wider gaps passes the float range:
+    # tube_volume(a_string_set(0.01), 5e-324) read 8.4e-4 with an overflow
+    # warning, where 2t·j* + (j*+1)^{-a} is 6.6997e-4 at j* = 6.713e317
+    desc = geometry.a_string_set(a)
+    with mp.workdps(30):
+        j = mp.mpf(2) ** 1022
+        least = float(mp.power(j, -a) * -mp.expm1(-a * mp.log1p(1 / j)) / 2)
+    for t in (5e-324, least * (1.0 - 1e-3)):
+        with pytest.raises(ValueError, match="below the smallest supported t"):
+            geometry.tube_volume(desc, t)
+        with pytest.raises(ValueError, match="below the smallest supported t"):
+            geometry.tube_volume(desc, np.array([0.1, t]))
+    ts = np.geomspace(least * (1.0 + 1e-3), 1e-20, 8)
+    refs = np.array([float(_a_string_tube_mp(a, t)) for t in ts])
+    assert geometry.tube_volume(desc, ts) == pytest.approx(refs, rel=1e-13)
+    for t, ref in zip(ts, refs):
+        assert geometry.tube_volume(desc, t) == pytest.approx(ref, rel=1e-13)
+
+
 def test_breakpoints_validation():
     desc = geometry.cantor_set(2, 1 / 3)
     with pytest.raises(ValueError):

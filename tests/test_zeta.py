@@ -477,9 +477,9 @@ def _spy_weights(monkeypatch):
     that the next block overwrites."""
     seen, weights = [], zeta._mc_weights
 
-    def spy(w, log_d, cut, out=None, work=None):
+    def spy(w, log_d, cut, out=None, work=None, bound=None):
         before = log_d.copy()
-        vals = weights(w, log_d, cut, out, work)
+        vals = weights(w, log_d, cut, out, work, bound)
         seen.append((w, before, cut, vals.copy()))
         return vals
 
@@ -689,7 +689,112 @@ def test_cexp_fallback_bound(im, above):
     assert _rel_err(got, _cexp_mp(w, x)) <= 1e-15
 
 
-def _numpy_weights(w, log_d, cut, out=None, work=None):
+def test_cexp_table_index_mask_is_k_mod_m():
+    # M is a power of two, so k & (M - 1) is k mod M in two's complement, for
+    # negative k too: the table is read at in-range indices with no wrap loop
+    m = zeta._CEXP_M
+    edge = np.array([0, 1, m - 1, m, m + 1, 2**29 - 1])
+    ks = np.concatenate((edge, -edge, np.random.default_rng(8).integers(-2**29, 2**29, 10**4)))
+    masked = np.bitwise_and(ks.astype(np.intp), m - 1)
+    assert masked.tolist() == [k % m for k in ks.tolist()]
+
+
+_BOUND_SETS = {
+    "cantor": lambda: geometry.cantor_set(2, 1 / 3),
+    "C(5,1/10)": lambda: geometry.cantor_set(5, 0.1),
+    "carpet2": lambda: geometry.carpet(2),
+    "carpet3": lambda: geometry.carpet(3),
+    "a-string 0.5": lambda: geometry.a_string_set(0.5),
+    "a-string 1": lambda: geometry.a_string_set(1.0),
+    "nest": lambda: geometry.fractal_nest(0.5, 40),
+}
+
+
+def _bound_cases():
+    for name in _BOUND_SETS:
+        for lam in (1 / 3, 1.0, 3.0):
+            for full in (False, True):
+                yield pytest.param(name, lam, full, id=f"{name}-{lam:.3g}-{'full' if full else 'rel'}")
+    for lam in (1 / 3, 1.0, 3.0):
+        yield pytest.param("flat drum", lam, False, id=f"flat drum-{lam:.3g}-rel")
+    # so large that the farthest distance, not the deepest, sets the bound
+    yield pytest.param("cantor", 1e60, False, id="cantor-1e+60-rel")
+
+
+def _bound_laws(name, lam, full, n):
+    """The stratified law of n samples and, but for the flat drum, the law
+    that pools all of them, which reaches deepest into the tail."""
+    if name == "flat drum":
+        return [zeta._flat_drum_law(geometry.scaled(geometry.flat_drum(), lam), n)]
+    desc = geometry.scaled(_BOUND_SETS[name](), lam)
+    delta = 0.45 * lam if full else None
+    return [geometry._hole_law(desc, n, delta), geometry._hole_law(desc, 0, delta)]
+
+
+def _all_draws(law, n, rng):
+    if len(law.samples) == 1:
+        return law.draw([0], [n], rng)
+    return law.draw(list(range(len(law.samples))), law.samples.tolist(), rng)
+
+
+class _ConstantRng:
+    """Stands in for a numpy Generator whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = self.u
+        return out
+
+
+@pytest.mark.parametrize("name, lam, full", _bound_cases())
+def test_distance_law_draws_lie_within_its_bound(name, lam, full):
+    # the bound spares zeta._cexp its range scan: a draw beyond it could take
+    # the table for a phase whose reduction is not exact
+    n = 10**6
+    for law in _bound_laws(name, lam, full, n):
+        assert math.isfinite(law.bound)
+        log_d = _all_draws(law, n, np.random.default_rng(12))
+        assert np.all(np.isfinite(log_d))  # none of these laws draws a point of A
+        assert np.abs(log_d).max() <= law.bound
+        if name != "flat drum":  # its rejection sampler needs real uniforms
+            # every uniform at an end of numpy's grid, 0 or 1 - 2^-53, draws each
+            # stratum's nearest and farthest distance, and the deepest pool level
+            for u in (0.0, 1.0 - 2.0**-53):
+                assert np.abs(_all_draws(law, n, _ConstantRng(u))).max() <= law.bound
+
+
+@pytest.mark.parametrize("name, lam, full", _bound_cases())
+def test_cexp_with_law_bound_matches_scan(name, lam, full):
+    # the same operations run whether the bound or the scan admits the table,
+    # and where |Im w|·bound passes 2^19 the scan decides, as without a bound
+    law = _bound_laws(name, lam, full, 2**14)[0]
+    log_d = _all_draws(law, 2**14, np.random.default_rng(13))
+    for w in (-0.1 - 2.5j, 0.9 + 0.5j, -1.0 + 40.0j, complex(0.01, 2.0**19 / law.bound)):
+        assert np.array_equal(zeta._cexp(w, log_d, bound=law.bound), zeta._cexp(w, log_d))
+
+
+@pytest.mark.parametrize("name, s, full, pins", [
+    # value (real, imaginary) and std err, float.hex, recorded before the table
+    # index was masked: Im s = -2.5 is where numpy's wrap mode looped
+    ("cantor", 0.9 - 2.5j, False,
+     ("0x1.2e3d8f9334c3fp-4", "-0x1.1d2ca909ae628p-5", "0x1.6d96a8da66483p-8")),
+    ("cantor", 0.9 - 2.5j, True,
+     ("-0x1.21b400031d06ep-2", "-0x1.2a90dcd900b16p-4", "0x1.27c7e9ef4496cp-7")),
+    ("carpet2", 1.97 - 2.5j, False,
+     ("0x1.1e06fd383600dp-6", "0x1.7c37993f4ec1bp-8", "0x1.4955baab44a22p-8")),
+    ("carpet2", 1.97 - 2.5j, True,
+     ("-0x1.1192f87f0b635p+0", "0x1.57b8fe453849cp-4", "0x1.9fc0ebc66304ap-7")),
+])
+def test_distance_zeta_mc_pinned_where_the_phase_is_large(name, s, full, pins):
+    est = distance_zeta_mc(_BOUND_SETS[name](), s, n=10**5, seed=7, delta=0.45 if full else None,
+                           full=full)
+    assert (est.value.real.hex(), est.value.imag.hex(), est.std_err.hex()) == pins
+
+
+def _numpy_weights(w, log_d, cut, out=None, work=None, bound=None):
     """The Monte Carlo weight as numpy's complex exp gives it: the reference
     for ``zeta._mc_weights``."""
     keep = (log_d > -math.inf) & (log_d <= (math.inf if cut is None else cut))
