@@ -440,15 +440,17 @@ def _a_string_count(a: float, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"t/λ = {u.min():.4g} is below the smallest supported t/λ, {least:.4g}")
     # a(j+1)^{-a-1} <= ℓ_j <= a j^{-a-1} puts j* near g = a^e/(2u)^e, 10² ulp off at u =
     # 1e-300; a step of the local law ℓ ∝ j^{-1/e} takes g within 0.12 (j* >= 1) or 2 ulp.
-    # Widen g(1 ± 2^-50) ± 1/4 until ℓ_lo > 2u (ℓ_0 = ∞) and ℓ_hi <= 2u hold in floating
-    # point, then bisect until hi - lo is 1, or 2 ulp where floats are more than 1 apart
+    # Widen g(1 ± 2^-50) ± 1/4 until ℓ_lo > 2u (ℓ_0 = ∞, so lo = 0 needs no test) and
+    # ℓ_hi <= 2u hold in floating point, then bisect until hi - lo is 1, or 2 ulp where
+    # floats are more than 1 apart
     guess = a**e / two_u**e
     guess *= (_a_string_length(np.maximum(guess, 1.0), a) / two_u) ** e
     lo = np.maximum(np.floor(guess * (1.0 - 2.0**-50) - 0.25), 0.0)
     hi = np.ceil(guess * (1.0 + 2.0**-50) + 0.25)
     while (short := _a_string_length(hi, a) > two_u).any():
         hi = np.where(short, 2.0 * hi, hi)
-    while (wide := (lo > 0) & (_a_string_length(np.maximum(lo, 1.0), a) <= two_u)).any():
+    while lo.any() and (wide := (lo > 0)
+                        & (_a_string_length(np.maximum(lo, 1.0), a) <= two_u)).any():
         lo = np.where(wide, np.floor(0.5 * lo), lo)
     while (hi - lo > 1.0 + 2.0**-52 * hi).any():
         mid = np.floor(0.5 * (lo + hi))  # lo where hi - lo is 1: the step leaves it
@@ -469,13 +471,14 @@ def _table_tube(desc: SetDescriptor, ts: np.ndarray, delta: float, full: bool) -
     unsaturated = np.zeros((rows + 1, weights.shape[1]))
     np.cumsum(weights[order[::-1]], axis=0, out=unsaturated[1:])
     k = np.searchsorted(holes.radii[order], ts, side="right")
-    return saturated[k] + _poly(unsaturated[rows - k], ts)
+    # once every row is saturated the polynomial is 0, which 0·t^m = 0·∞ would make nan
+    return saturated[k] + _poly(unsaturated[rows - k], np.where(k < rows, ts, 0.0))
 
 
 def _a_string_tube(desc: SetDescriptor, ts: np.ndarray, full: bool) -> np.ndarray:
     # 2t·j* + λ(j*+1)^{-a}: the j* gaps wider than 2t, then every narrower one
     lam, a = desc.scale, desc.a
-    u = ts / lam
+    u = np.minimum(ts / lam, 1.0)  # j* = 0 from u = 1/2 on; 2u·j* would be ∞·0 past 2^1023
     j = _a_string_count(a, np.where(u > 0, u, 1.0))
     vols = np.where(u > 0, lam * (2.0 * u * j + (j + 1.0) ** (-a)), 0.0)
     return vols + _poly(_collar_coeffs(desc), ts) if full else vols
@@ -493,12 +496,12 @@ def tube_volume(desc: SetDescriptor, t: float | np.ndarray,
     truncated, is 2t·j*(t) + λ(j*+1)^{-a} with j* = #{ j : λℓ_j > 2t }.  The
     flat drum has no holes; its value is exp(``log_tube_volume``), which
     underflows for t below ~1.4e-3 (use the log there).  Raises
-    ``ValueError`` if any t < 0.
+    ``ValueError`` if any t is negative or not finite.
     """
     ts = np.asarray(t, dtype=float)
     delta = float(ts.min(initial=math.inf))
-    if delta < 0:
-        raise ValueError("t must be nonnegative")
+    if delta < 0 or not np.isfinite(ts).all():
+        raise ValueError("t must be finite and nonnegative")
     if delta == 0:
         delta = float(ts.min(initial=math.inf, where=ts > 0))
     if desc.kind == "flatDrum":

@@ -268,17 +268,18 @@ def _newton_polish(sites: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     to a few ulps of |z| (or is not finite), after ``_NEWTON_STEPS`` at most."""
     logs = np.log(ratios)
     z = sites.astype(complex)
-    live = np.arange(len(z))
+    live, zl = np.arange(len(z)), z.copy()  # the sites still moving, and where they are
     # diverging seeds overflow r^sigma; they are filtered out afterwards
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(_NEWTON_STEPS):
-            e = np.exp(np.multiply.outer(z[live], logs))
-            f = e.sum(axis=-1) - 1.0
+            e = np.exp(np.multiply.outer(zl, logs))
             fp = e @ logs
-            step = np.where(np.abs(fp) > 1e-300, f / np.where(fp == 0, 1.0, fp), 0.0)
-            step = np.where(np.isfinite(step), step, 0.0)
-            z[live] -= step
-            live = live[np.abs(step) > 4.0 * _EPS * np.abs(z[live])]
+            step = (e.sum(axis=-1) - 1.0) / fp
+            step[(np.abs(fp) <= 1e-300) | ~np.isfinite(step)] = 0.0
+            zl -= step
+            z[live] = zl
+            moving = np.abs(step) > 4.0 * _EPS * np.abs(zl)
+            live, zl = live[moving], zl[moving]
             if not live.size:
                 break
     return z
@@ -302,23 +303,14 @@ def _scaling_f(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
     return 1.0 - np.exp(np.multiply.outer(z, logs)).sum(axis=-1)
 
 
-def _rounding(z: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Bound on the floating-point error of ``_scaling_f`` at z: each r_j^z
-    carries a relative error of a few ulps of its exponent z ln r_j."""
+def _nodes(z: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """At each node z: f, |f|, a bound on the floating-point error of f (each
+    r_j^z carries a relative error of a few ulps of its exponent z ln r_j),
+    and the bound Σ_j r_j^{Re z} ln(1/r_j) on |f'| at points right of Re z."""
+    f = _scaling_f(z, logs)
     pw = np.exp(np.multiply.outer(z.real, logs))
-    return 4.0 * _EPS * (1.0 + (pw * (np.multiply.outer(np.abs(z), -logs) + 2.0)).sum(axis=-1))
-
-
-def _split(za: np.ndarray, zb: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut each segment za[i] → zb[i] into k[i] equal pieces; returns the pieces
-    and, for each, the index of the segment it came from."""
-    parent = np.repeat(np.arange(len(k)), k)
-    j = np.arange(len(parent)) - np.repeat(np.cumsum(k) - k, k)
-    kk = k[parent]
-    d = (zb - za)[parent]
-    start = za[parent] + d * (j / kk)
-    end = np.where(j + 1 == kk, zb[parent], za[parent] + d * ((j + 1) / kk))
-    return start, end, parent
+    err = 4.0 * _EPS * (1.0 + (pw * (np.multiply.outer(np.abs(z), -logs) + 2.0)).sum(axis=-1))
+    return f, np.abs(f), err, pw @ -logs
 
 
 def _arg_changes(z0: np.ndarray, z1: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -330,26 +322,44 @@ def _arg_changes(z0: np.ndarray, z1: np.ndarray, logs: np.ndarray) -> np.ndarray
     is below |f| at one of its ends, less the rounding allowance.  f then
     stays in the open disk about f(end) of radius |f(end)|, so it has no zero
     on the piece and its arg changes by the principal arg of f(zb)/f(za).
-    Other pieces are cut in proportion to how far they miss.
+    Other pieces are cut into equal parts, in proportion to how far they miss.
+
+    A piece is a pair of indices into one table of nodes, so f and its bounds
+    are evaluated once at each node: neighbours share their common end, and
+    a piece cut into k adds only its k − 1 interior nodes.  Every segment is
+    refined in the same rounds, so one call on many segments costs about as
+    many rounds as its slowest segment needs.
     """
-    total = np.zeros(len(z0))
-    near = np.zeros(len(z0), dtype=bool)
-    za, zb, owner = _split(z0, z1, np.maximum(1, np.ceil(np.abs(z1 - z0) / 0.25)).astype(int))
+    n = len(z0)
+    total = np.zeros(n)
+    near = np.zeros(n, dtype=bool)
+    za, zb, z = z0, z1, np.concatenate((z0, z1))
+    nodes = _nodes(z, logs)
+    ia, ib, owner = np.arange(n), np.arange(n, 2 * n), np.arange(n)
+    k = np.maximum(1, np.ceil(np.abs(z1 - z0) / 0.25)).astype(int)
     for _ in range(60):
-        fa, fb = _scaling_f(za, logs), _scaling_f(zb, logs)
-        slope = np.exp(np.multiply.outer(np.minimum(za.real, zb.real), logs)) @ -logs
-        room = (np.maximum(np.abs(fa), np.abs(fb))
-                - np.maximum(_rounding(za, logs), _rounding(zb, logs)))
+        # cut piece i into k[i] equal parts; the k[i] - 1 nodes inside it are new
+        parent = np.repeat(np.arange(len(k)), k)
+        j = np.arange(len(parent)) - np.repeat(np.cumsum(k) - k, k)
+        za = za[parent] + (zb - za)[parent] * (j / k[parent])
+        fresh = len(z) + np.arange(len(j)) - parent
+        ia = np.where(j == 0, ia[parent], fresh - 1)
+        ib = np.where(j + 1 == k[parent], ib[parent], fresh)
+        inner, owner = za[j > 0], owner[parent]
+        z = np.concatenate((z, inner))
+        f, size, err, bound = nodes = [np.concatenate(q) for q in zip(nodes, _nodes(inner, logs))]
+        zb = z[ib]
+        room = np.maximum(size[ia], size[ib]) - np.maximum(err[ia], err[ib])
+        slope = np.where(za.real <= zb.real, bound[ia], bound[ib])
         length = np.abs(zb - za)
         ok = length * slope < room
-        np.add.at(total, owner[ok], np.angle(fb[ok] / fa[ok]))
+        np.add.at(total, owner[ok], np.angle(f[ib[ok]] / f[ia[ok]]))
         near[owner[~ok & (room < _NEAR * slope)]] = True
         rest = ~ok & ~near[owner]
         if not rest.any():
             break
         k = np.clip(np.ceil(1.25 * length[rest] * slope[rest] / room[rest]), 2, 1024).astype(int)
-        za, zb, parent = _split(za[rest], zb[rest], k)
-        owner = owner[rest][parent]
+        za, zb, ia, ib, owner = za[rest], zb[rest], ia[rest], ib[rest], owner[rest]
     else:
         near[owner] = True
     total[near] = np.nan
@@ -361,8 +371,10 @@ def _count_strips(logs: np.ndarray, w: Window) -> tuple[float, float, np.ndarray
 
     Returns (a, b, tops, counts).  Strip 0 is [a, b] × [−tops[0], tops[0]],
     symmetric about the real axis; strip k >= 1 is [a, b] × [tops[k−1], tops[k]].
-    The strips reach ``_MARGIN`` past the window on every side.  A horizontal
-    edge that passes near a zero is moved up; a vertical one, outward.
+    The strips reach ``_MARGIN`` past the window on every side.  Every edge is
+    certified in one ``_arg_changes`` call.  A horizontal edge that passes near
+    a zero is moved up and certified again, with every side, in one more call;
+    a vertical one is moved outward.
     """
     a, b = w.sigma_left - _MARGIN, w.sigma_right + _MARGIN
     top = w.tau_max + _MARGIN
@@ -373,19 +385,20 @@ def _count_strips(logs: np.ndarray, w: Window) -> tuple[float, float, np.ndarray
     for _ in range(len(_EDGE_SHIFTS)):  # as many outward moves of a vertical edge
         tops = base.copy()
         horiz = np.full(len(base), np.nan)
-        for shift in _EDGE_SHIFTS:
+        for shift in _EDGE_SHIFTS:  # the tops still near a zero, moved up, and every side
             bad = np.isnan(horiz)
             if not bad.any():
                 break
             tops[bad] = base[bad] + shift
-            horiz[bad] = _arg_changes(a + 1j * tops[bad], b + 1j * tops[bad], logs)
+            lows = np.concatenate(([-tops[0]], tops[:-1]))
+            z0 = np.concatenate((a + 1j * tops[bad], a + 1j * lows, b + 1j * lows))
+            z1 = np.concatenate((b + 1j * tops[bad], a + 1j * tops, b + 1j * tops))
+            turns = _arg_changes(z0, z1, logs)
+            horiz[bad], left, right = np.split(turns, [bad.sum(), bad.sum() + len(tops)])
         if np.isnan(horiz).any():
             raise NonconvergenceError(
                 f"every strip edge near Im s = {base[np.isnan(horiz)][0]:.6g} passes next to "
                 f"a zero of 1 - sum r_j^s")
-        lows = np.concatenate(([-tops[0]], tops[:-1]))
-        left = _arg_changes(a + 1j * lows, a + 1j * tops, logs)
-        right = _arg_changes(b + 1j * lows, b + 1j * tops, logs)
         if np.isnan(left).any() or np.isnan(right).any():
             if np.isnan(left).any():
                 a -= _MARGIN
@@ -412,16 +425,15 @@ def _seed_roots(rs: np.ndarray, a: float, b: float, lows: np.ndarray, highs: np.
     into the upper half plane (real ones made exactly real)."""
     ns = int(math.ceil((b - a) / step))
     sig = a + (np.arange(ns) + 0.5) * (b - a) / ns
-    seeds = []
-    for lo, hi in zip(lows, highs):
-        nt = int(math.ceil((hi - lo) / step))
-        tau = lo + (np.arange(nt) + 0.5) * (hi - lo) / nt
-        seeds.append((sig[:, None] + 1j * tau[None, :]).ravel())
-    z = _newton_polish(np.concatenate(seeds), rs)
-    logs = np.log(rs)
+    nt = np.ceil((highs - lows) / step).astype(int)
+    # strip k's seeds, σ by σ, each with its nt[k] values of τ
+    k = np.repeat(np.arange(len(nt)), ns * nt)
+    cell = np.arange(len(k)) - np.repeat(np.cumsum(ns * nt) - ns * nt, ns * nt)
+    i, j = np.divmod(cell, nt[k])
+    z = _newton_polish(sig[i] + 1j * (lows[k] + (j + 0.5) * (highs - lows)[k] / nt[k]), rs)
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = np.abs(_scaling_f(z, logs))
-        z = z[np.isfinite(resid) & (resid < 1e-12 + _rounding(z, logs))]
+        _, resid, err, _ = _nodes(z, np.log(rs))
+        z = z[np.isfinite(resid) & (resid < 1e-12 + err)]
     z = np.where(z.imag < 0, z.conjugate(), z)
     return np.where(np.abs(z.imag) < 1e-10, z.real + 0j, z)
 
@@ -480,7 +492,7 @@ def spray_dims(ratios: Sequence[float], w: Window) -> PoleSet:
     the roots are merged and sorted as :func:`poles` merges and sorts poles.
     """
     rs = np.asarray(sorted(ratios, reverse=True), dtype=float)
-    if np.any(rs <= 0) or np.any(rs >= 1):
+    if not np.all((rs > 0) & (rs < 1)):
         raise ValueError("ratios must lie in (0, 1)")
     lattice = _commensurable_exponents(rs)
     roots: list[complex] = []

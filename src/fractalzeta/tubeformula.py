@@ -84,8 +84,8 @@ def truncated_tube(desc: SetDescriptor, t: float, window: Window,
     The truncation K is the largest ordinate over the smallest, the lattice
     modes |k| <= K of a ladder drum.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     form = zeta.catalog_form(desc, full=full, delta=delta)
     ps = spectrum.poles(form, window)
     taus = ps.omega.imag[ps.omega.imag > 1e-12]
@@ -104,14 +104,14 @@ _WORD_CAP = 10**7  # most generator copies wider than 2t that the oracle enumera
 
 def _spray_shape(gen_kind: str, ratios: Sequence[float], t: float) -> tuple[int, np.ndarray]:
     """The generator's dimension N and the ratios as an array, once the spray
-    is known to have positive t, ratios in (0, 1) and finite volume."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    is known to have finite positive t, ratios in (0, 1) and finite volume."""
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if gen_kind not in _GEN_SHAPES:
         raise ValueError("generator kind must be interval, square, or cube")
     n = _GEN_SHAPES[gen_kind]
     rs = np.asarray(ratios, dtype=float)
-    if np.any(rs <= 0) or np.any(rs >= 1):
+    if not np.all((rs > 0) & (rs < 1)):
         raise ValueError("ratios must lie in (0, 1)")
     if float(np.sum(rs**n)) >= 1.0:
         raise ValueError("total spray volume diverges: Σ r^N >= 1")

@@ -224,6 +224,20 @@ def test_non_finite_scale_exits_2(capsys, argv):
     assert err.startswith("error:") and "scale must be positive and finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tubeformula", "--ratios", "0.5,0.3", "--t", "nan"], "t must be positive and finite"),
+    (["tubeformula", "--set", "carpet2", "--t", "inf"], "t must be positive and finite"),
+    (["poles", "--ratios", "0.5,nan", "--window=-1:0.99:5"], "ratios must lie in (0, 1)"),
+    (["tubeformula", "--ratios", "0.5,nan", "--t", "0.1"], "ratios must lie in (0, 1)"),
+], ids=["spray t nan", "carpet2 t inf", "poles ratio nan", "spray ratio nan"])
+def test_non_finite_t_or_ratio_exits_2(capsys, argv, message):
+    # a nan t ran ~13 s and ended in a traceback, an inf t in a JSON error, a nan
+    # ratio in "cannot convert float NaN to integer"
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 # scipy is a test dependency only: with it blocked, every import of it raises
 _WITHOUT_SCIPY = """
 import sys

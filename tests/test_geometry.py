@@ -812,6 +812,41 @@ def test_tube_volume_monotone_and_bounded(idx, t1, t2):
     assert vhi <= geometry.region_volume(desc) * (1 + 1e-12)
 
 
+# every catalog kind, and whether it has a full tube
+_KINDS = [(build, True) for build in _CATALOG] + [
+    (geometry.flat_drum, False),
+    (lambda: geometry.a_string_set(0.5, 20), True),
+    (lambda: geometry.box_boundary(3), True),
+    (lambda: geometry.scaled(geometry.carpet(2), 3.0), True),
+]
+_KIND_IDS = ["cantor", "C(3,0.2)", "carpet2", "carpet3", "astring", "nest", "box2", "flat",
+             "astring J=20", "box3", "3 carpet2"]
+
+
+@pytest.mark.parametrize("build, has_full", _KINDS, ids=_KIND_IDS)
+def test_tube_volume_refuses_non_finite_t(build, has_full):
+    # t = inf read as "every t is 0" and gave 0.0; nan gave nan
+    desc = build()
+    for full in (False, True) if has_full else (False,):
+        for t in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                geometry.tube_volume(desc, t, full=full)
+            with pytest.raises(ValueError, match="t must be finite"):
+                geometry.tube_volume(desc, np.array([0.1, t, 0.5]), full=full)
+
+
+@pytest.mark.parametrize("build, has_full", _KINDS, ids=_KIND_IDS)
+def test_relative_tube_volume_saturates_at_huge_t(build, has_full):
+    # rows all saturated made 0·t^m = 0·∞ = nan: carpet2, the nest and the box
+    # at t = 1e300, carpet3 at 1e150; the infinite a-string at 2t > 2^1024
+    desc = build()
+    ts = np.array([10.0, 1e100, 1e150, 1e300, 1.7976931348623157e308])
+    whole = geometry.tube_volume(desc, 10.0)
+    assert whole == pytest.approx(geometry.region_volume(desc), rel=1e-12)
+    assert geometry.tube_volume(desc, ts).tolist() == [whole] * len(ts)
+    assert [geometry.tube_volume(desc, t) for t in ts] == [whole] * len(ts)
+
+
 @settings(max_examples=30, deadline=None)
 @given(lam=st.floats(0.2, 5.0), x=st.floats(-0.5, 1.5))
 def test_distance_scaling_equivariance(lam, x):

@@ -349,6 +349,115 @@ def test_spray_dims_ordered_like_poles(ratios, w):
             assert q.real > p.real, (p, q)
 
 
+def _arg_changes_per_piece(z0, z1, logs):
+    """The certified arg changes as first written: every round evaluates f, its
+    rounding bound and the |f'| bound afresh at both ends of every piece."""
+    eps = 2.0 ** -52
+
+    def rounding(z):
+        pw = np.exp(np.multiply.outer(z.real, logs))
+        return 4.0 * eps * (1.0 + (pw * (np.multiply.outer(np.abs(z), -logs) + 2.0)).sum(axis=-1))
+
+    def split(za, zb, k):
+        parent = np.repeat(np.arange(len(k)), k)
+        j = np.arange(len(parent)) - np.repeat(np.cumsum(k) - k, k)
+        kk, d = k[parent], (zb - za)[parent]
+        start = za[parent] + d * (j / kk)
+        end = np.where(j + 1 == kk, zb[parent], za[parent] + d * ((j + 1) / kk))
+        return start, end, parent
+
+    total = np.zeros(len(z0))
+    near = np.zeros(len(z0), dtype=bool)
+    za, zb, owner = split(z0, z1, np.maximum(1, np.ceil(np.abs(z1 - z0) / 0.25)).astype(int))
+    for _ in range(60):
+        fa, fb = spectrum._scaling_f(za, logs), spectrum._scaling_f(zb, logs)
+        slope = np.exp(np.multiply.outer(np.minimum(za.real, zb.real), logs)) @ -logs
+        room = np.maximum(np.abs(fa), np.abs(fb)) - np.maximum(rounding(za), rounding(zb))
+        length = np.abs(zb - za)
+        ok = length * slope < room
+        np.add.at(total, owner[ok], np.angle(fb[ok] / fa[ok]))
+        near[owner[~ok & (room < spectrum._NEAR * slope)]] = True
+        rest = ~ok & ~near[owner]
+        if not rest.any():
+            break
+        k = np.clip(np.ceil(1.25 * length[rest] * slope[rest] / room[rest]), 2, 1024).astype(int)
+        za, zb, parent = split(za[rest], zb[rest], k)
+        owner = owner[rest][parent]
+    else:
+        near[owner] = True
+    total[near] = np.nan
+    return total
+
+
+def _edge_cases():
+    """Ratio lists with 2-4 ratios and 20 segments each: random ones, and ones
+    through or next to a zero (within 1e-12 to 1e-2 of it) that graze it."""
+    rng = np.random.default_rng(40)
+    cases = []
+    while len(cases) < 10:
+        logs = np.log(np.sort(rng.uniform(0.1, 0.8, rng.integers(2, 5)))[::-1])
+        roots = spray_dims(np.exp(logs), Window(-2.0, 2.0, 30.0)).omega
+        if not roots.size:
+            continue
+        z0 = rng.uniform(-2.0, 2.0, 20) + 1j * rng.uniform(-40.0, 40.0, 20)
+        step = rng.uniform(-3.0, 3.0, 20) + 1j * rng.uniform(-3.0, 3.0, 20)
+        # half of them pass a root: it splits them at a random place, offset
+        # across the segment by 0 or 1e-12 .. 1e-2
+        at = rng.choice(roots, 10)
+        off = np.where(rng.random(10) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, -2.0, 10))
+        across = 1j * step[10:] / np.abs(step[10:]) * off
+        z0[10:] = at + across - rng.uniform(0.1, 0.9, 10) * step[10:]
+        cases.append((logs, z0, z0 + step))
+    return cases
+
+
+def test_arg_changes_match_the_per_piece_evaluation():
+    # each node evaluated once gives the totals, bit for bit, that evaluating
+    # f at both ends of every piece gave, nan where a segment grazes a zero
+    grazed = 0
+    for logs, z0, z1 in _edge_cases():
+        got, want = spectrum._arg_changes(z0, z1, logs), _arg_changes_per_piece(z0, z1, logs)
+        assert np.array_equal(got, want, equal_nan=True), (logs, got - want)
+        grazed += np.isnan(want).sum()
+    assert 0 < grazed < 100  # some segments graze a zero, most do not
+
+
+def test_arg_changes_of_many_segments_in_one_call():
+    # segments refined together give the totals they give one by one
+    for logs, z0, z1 in _edge_cases():
+        alone = [spectrum._arg_changes(z0[i:i + 1], z1[i:i + 1], logs)[0] for i in range(len(z0))]
+        assert np.array_equal(spectrum._arg_changes(z0, z1, logs), alone, equal_nan=True)
+    empty = np.zeros(0, dtype=complex)
+    assert spectrum._arg_changes(empty, empty, np.log([0.5, 0.25])).shape == (0,)
+
+
+@pytest.mark.parametrize("ratios, count, first, dim, residue", [
+    ((0.5, 1 / 3), 69, ("-0x1.fea323e3701bap-1", "-0x1.073ba7dfed9e1p+7"),
+     "0x1.9365a6abbc67fp-1", "0x1.28600ef25b1b3p+0"),
+    ((0.5, 0.2), 103, ("-0x1.20a5056399123p-1", "-0x1.191cd38c1af80p+7"),
+     "0x1.4707c3072014ap-1", "0x1.f5818bd955f84p-1"),
+    ((0.4, 0.3, 0.2), 91, ("-0x1.c5b105ec9503dp-1", "-0x1.622e064181821p+7"),
+     "0x1.d1df6ab9eb85fp-1", "0x1.b4953864cbfc1p-1"),
+])
+def test_spray_dims_pinned_on_the_benchmark_windows(ratios, count, first, dim, residue):
+    # recorded from the per-piece evaluation on numpy 2.4, x86-64: they assume
+    # numpy's exp, log and matmul give the same bits as they did there
+    ps = spray_dims(ratios, Window(-1.0, 0.99, 199.75))
+    assert len(ps) == count
+    assert (ps.omega[0].real.hex(), ps.omega[0].imag.hex()) == first
+    real = ps.omega.imag == 0
+    assert ps.omega[-1] == ps.omega[real][0] == float.fromhex(dim)
+    assert ps.residue[real][0] == float.fromhex(residue)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+def test_spray_dims_refuses_ratios_outside_the_unit_interval(bad):
+    # nan passed the old test (r <= 0 or r >= 1) and failed later on
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=r"ratios must lie in \(0, 1\)"):
+        spray_dims((0.5, bad), Window(-1.0, 1.0, 5.0))
+
+
 def test_commensurable_exponent_detection():
     arr = lambda *xs: np.asarray(xs, dtype=float)
     assert spectrum._commensurable_exponents(arr(0.5, 0.25, 0.125)) is not None

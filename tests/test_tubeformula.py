@@ -93,6 +93,9 @@ def test_truncated_tube_validation():
         tubeformula.truncated_tube(desc, 0.0, w)
     with pytest.raises(ValueError):
         tubeformula.truncated_tube(desc, -0.1, w)
+    for t in (math.inf, math.nan):  # inf ended in a JSON error, after overflow warnings
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            tubeformula.truncated_tube(desc, t, w)
 
 
 # --- sprays ------------------------------------------------------------------------
@@ -191,6 +194,21 @@ def test_spray_tube_validation():
         tubeformula.spray_tube("interval", 1.0, (0.5, 0.25), 0.0, w)
     with pytest.raises(ValueError):
         tubeformula.spray_tube_oracle("hexagon", 1.0, (0.5,), 0.1)
+    for t in (math.inf, math.nan):  # nan enumerated 10^7 words, then hit the cap
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            tubeformula.spray_tube("interval", 1.0, (0.5, 0.3), t, w)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            tubeformula.spray_tube_oracle("interval", 1.0, (0.5, 0.3), t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+def test_spray_tube_refuses_ratios_outside_the_unit_interval(bad):
+    # nan passed the old test (r <= 0 or r >= 1)
+    w = spectrum.Window(-0.5, 0.99, 20.0)
+    with pytest.raises(ValueError, match=r"ratios must lie in \(0, 1\)"):
+        tubeformula.spray_tube("interval", 1.0, (0.5, bad), 0.1, w)
+    with pytest.raises(ValueError, match=r"ratios must lie in \(0, 1\)"):
+        tubeformula.spray_tube_oracle("interval", 1.0, (bad, 0.5), 0.1)
 
 
 # --- measurability verdicts ----------------------------------------------------------
